@@ -21,6 +21,7 @@ from .core import (
     Poset,
     _bits,
     is_isomorphic,
+    remove_element,
     topology_census,
 )
 from .constructions import suspension
@@ -32,7 +33,7 @@ from .dimension import (
     verify_embedding,
 )
 from .errors import OutOfRange, TooLarge, UnknownCheck
-from .homotopy import beat_points, core, is_contractible, remove_point
+from .homotopy import beat_points, core, is_contractible
 
 LABELED_GUARD = 6
 UNLABELED_GUARD = 7
@@ -220,7 +221,7 @@ def _check_bounds(P: Poset) -> bool:
 def _check_beat_continuity(P: Poset) -> bool:
     d = _dim(P)
     for w in beat_points(P):
-        d2 = _dim(remove_point(P, w.point))
+        d2 = _dim(remove_element(P, w.point))
         if not d - 1 <= d2 <= d:
             return False
     return True
@@ -245,7 +246,7 @@ def _check_monotony(P: Poset) -> bool:
     if len(P) == 1:
         return True
     d = _dim(P)
-    return all(_dim(remove_point(P, x)) <= d for x in P.elements)
+    return all(_dim(remove_element(P, x)) <= d for x in P.elements)
 
 
 def _check_antichain_bijection(P: Poset) -> bool:

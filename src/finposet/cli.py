@@ -23,7 +23,7 @@ from .dimension import (
 )
 from .errors import FormatError, PosetError
 from .family import realize
-from .homotopy import beat_points, core, is_contractible
+from .homotopy import beat_points, core
 from .io import (
     format_certificate,
     format_core_trace,
@@ -53,10 +53,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     stats = structure_stats(P)
     print(f"size {len(P)}")
     print(f"height {stats.height}")
-    print(f"bounds {lower_bound(P)}..{upper_bound(P)}")
+    low = lower_bound(P)
+    trace = core(P)
+    print(f"bounds {low}..{upper_bound(P, trace)}")
     for w in beat_points(P):
         print(f"beat_point {w.point} {w.kind} {w.witness}")
-    print(f"contractible {'true' if is_contractible(P) else 'false'}")
+    print(f"contractible {'true' if trace.contractible else 'false'}")
     return 0
 
 

@@ -146,19 +146,18 @@ class Poset:
         return bots[0] if len(bots) == 1 else None
 
     def check(self) -> None:
-        """Assert the partial-order axioms on the stored rows (test hook)."""
+        """Check the partial-order axioms on the stored rows; raise ValueError if one fails."""
         n = len(self.elements)
         for i in range(n):
-            assert self._down[i] >> i & 1, f"not reflexive at {self.elements[i]}"
-            assert self._down[i] < 1 << n, "row has bits outside the element range"
+            if not self._down[i] >> i & 1:
+                raise ValueError(f"not reflexive at {self.elements[i]}")
+            if self._down[i] >= 1 << n:
+                raise ValueError("row has bits outside the element range")
             for j in _bits(self._down[i]):
-                if j != i:
-                    assert not self._down[j] >> i & 1, (
-                        f"antisymmetry fails on {self.elements[i]}, {self.elements[j]}"
-                    )
-                assert self._down[i] | self._down[j] == self._down[i], (
-                    f"transitivity fails below {self.elements[i]}"
-                )
+                if j != i and self._down[j] >> i & 1:
+                    raise ValueError(f"antisymmetry fails on {self.elements[i]}, {self.elements[j]}")
+                if self._down[i] | self._down[j] != self._down[i]:
+                    raise ValueError(f"transitivity fails below {self.elements[i]}")
 
 
 class StructureStats(NamedTuple):
@@ -286,15 +285,15 @@ def induced_subposet(P: Poset, S: Iterable[str]) -> Poset:
         if x not in P:
             raise UnknownElement(f"element {x!r} is not in the poset")
     keep = [i for i, e in enumerate(P.elements) if e in wanted]
-    names = [P.elements[i] for i in keep]
+    new_index = {old: new for new, old in enumerate(keep)}
     rows = []
     for i in keep:
         row = 0
-        for new_j, old_j in enumerate(keep):
-            if P.down_rows[i] >> old_j & 1:
-                row |= 1 << new_j
+        for j in _bits(P.down_rows[i]):
+            if j in new_index:
+                row |= 1 << new_index[j]
         rows.append(row)
-    return Poset(names, rows)
+    return Poset([P.elements[i] for i in keep], rows)
 
 
 def remove_element(P: Poset, x: str) -> Poset:

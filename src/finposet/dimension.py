@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Poset, _bits, structure_stats
+from .core import Poset, _bits, remove_element, structure_stats
 from .errors import (
     EmptyPoset,
     InvalidEmbedding,
@@ -24,13 +24,7 @@ from .errors import (
     TooLarge,
     TooWide,
 )
-from .homotopy import (
-    BeatPointWitness,
-    beat_points,
-    core,
-    is_contractible,
-    remove_point,
-)
+from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 
 # exists_embedding packs one subset mask per element into Python ints and
 # enumerates sub-blocks; beyond this width the search space is hopeless
@@ -81,13 +75,19 @@ def lower_bound(P: Poset) -> int:
     return max((len(P) - 1).bit_length(), structure_stats(P).height)
 
 
-def upper_bound(P: Poset) -> int:
-    """|P|, improved to |P| - 1 when the space is contractible."""
+def upper_bound(P: Poset, trace: CoreTrace | None = None) -> int:
+    """|P|, improved to |P| - 1 when the space is contractible.
+
+    A caller that already holds core(P) passes it as trace, so that P is
+    deflated only once.
+    """
     if len(P) == 0:
         raise EmptyPoset("the empty space has no embedding width bounds")
     if len(P) == 1:
         return 0
-    return len(P) - 1 if is_contractible(P) else len(P)
+    if trace is None:
+        trace = core(P)
+    return len(P) - 1 if trace.contractible else len(P)
 
 
 def canonical_embedding(P: Poset) -> CubeEmbedding:
@@ -255,15 +255,38 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
 
 
+def _add_beat_point(
+    P: Poset, alive: int, w: BeatPointWitness, masks: dict[str, int], width: int
+) -> None:
+    """Put the beat point w.point back into masks, one coordinate wider.
+
+    masks embeds the points of P in the index mask alive (which excludes
+    w.point) at the given width; afterwards it embeds them and w.point at
+    width + 1.  For an up beat point with witness y (minimum of the strict
+    up-set), w.point reuses y's mask and the new coordinate marks every
+    point not below w.point.  A down beat point is handled dually: it
+    takes y's mask plus the new coordinate, which also marks every point
+    above it.
+    """
+    new_bit = 1 << width
+    i = P.index(w.point)
+    if w.kind == "up":
+        masks[w.point] = masks[w.witness]
+        raised = alive & ~P.down_rows[i]
+    else:
+        masks[w.point] = masks[w.witness] | new_bit
+        raised = alive & P.up_rows[i]
+    for j in _bits(raised):
+        masks[P.elements[j]] |= new_bit
+
+
 def extend_embedding_at_beat_point(
     P: Poset, w: BeatPointWitness, E: CubeEmbedding
 ) -> CubeEmbedding:
     """Turn an embedding of P minus a beat point into one of P, one wider.
 
-    For an up beat point x with witness y (minimum of the strict up-set),
-    x reuses y's mask and the new coordinate separates x and everything
-    below it from the rest.  A down beat point is handled dually: x takes
-    y's mask plus the new coordinate, which also marks everything above x.
+    w must be one of beat_points(P), and E a valid embedding of P minus
+    w.point; the new coordinate follows the rule of _add_beat_point.
     """
     witnesses = [v for v in beat_points(P) if v.point == w.point]
     if not witnesses:
@@ -272,28 +295,13 @@ def extend_embedding_at_beat_point(
         raise InvalidWitness(
             f"{w.point!r} is a beat point but not with kind={w.kind!r}, witness={w.witness!r}"
         )
-    rest = remove_point(P, w.point)
+    rest = remove_element(P, w.point)
     if E.poset != rest or not verify_embedding(E):
         raise InvalidEmbedding("the given embedding is not a valid embedding of P minus the point")
-    new_bit = 1 << E.width
-    masks = {}
-    if w.kind == "up":
-        for z in P.elements:
-            if z == w.point:
-                masks[z] = E.masks[w.witness]
-            elif P.lt(z, w.point):
-                masks[z] = E.masks[z]
-            else:
-                masks[z] = E.masks[z] | new_bit
-    else:
-        for z in P.elements:
-            if z == w.point:
-                masks[z] = E.masks[w.witness] | new_bit
-            elif P.lt(w.point, z):
-                masks[z] = E.masks[z] | new_bit
-            else:
-                masks[z] = E.masks[z]
-    return CubeEmbedding(P, E.width + 1, masks)
+    masks = dict(E.masks)
+    alive = ((1 << len(P)) - 1) ^ (1 << P.index(w.point))
+    _add_beat_point(P, alive, w, masks, E.width)
+    return CubeEmbedding(P, E.width + 1, {z: masks[z] for z in P.elements})
 
 
 def contractible_embedding(P: Poset) -> CubeEmbedding:
@@ -301,17 +309,25 @@ def contractible_embedding(P: Poset) -> CubeEmbedding:
 
     The core is embedded exactly (trivially, at width 0, when P is
     contractible); re-adding the removed beat points costs one coordinate
-    each, so a contractible space on n points lands in width n - 1.
+    each, so a contractible space on n points lands in width n - 1.  The
+    replay grows one mask dict over alive masks on P's rows, and the
+    result is verified once; InvalidEmbedding means that check failed.
     """
     trace = core(P)
-    stages = [trace.start]
-    for w in trace.removals:
-        stages.append(remove_point(stages[-1], w.point))
-    base = stages[-1]
+    base = trace.core
     if len(base) == 1:
-        E = CubeEmbedding(base, 0, {base.elements[0]: 0})
+        width, masks = 0, {base.elements[0]: 0}
     else:
         E = two_dimension(base).witness
-    for stage, w in zip(reversed(stages[:-1]), reversed(trace.removals)):
-        E = extend_embedding_at_beat_point(stage, w, E)
+        width, masks = E.width, dict(E.masks)
+    alive = 0
+    for x in base.elements:
+        alive |= 1 << P.index(x)
+    for w in reversed(trace.removals):
+        _add_beat_point(P, alive, w, masks, width)
+        width += 1
+        alive |= 1 << P.index(w.point)
+    E = CubeEmbedding(P, width, {z: masks[z] for z in P.elements})
+    if not verify_embedding(E):
+        raise InvalidEmbedding("the deflation replay did not produce a valid embedding")
     return E

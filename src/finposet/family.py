@@ -11,10 +11,9 @@ n is hit by iterated suspensions of the 2- and 3-point antichains.
 from __future__ import annotations
 
 from .constructions import antichain, cone, hypercube, suspension
-from .core import Poset, induced_subposet
+from .core import Poset, induced_subposet, remove_element
 from .dimension import two_dimension
 from .errors import OutOfRange
-from .homotopy import remove_point
 
 FAMILY_GUARD = 10
 
@@ -38,7 +37,7 @@ def construction_sequence(n: int, guard: int = FAMILY_GUARD) -> list[Poset]:
     originals = [str(mask) for mask in range(n - 1)]
     out = [induced_subposet(cube, originals + [top])]
     for u in originals:
-        out.append(cone(remove_point(out[-1], u)))
+        out.append(cone(remove_element(out[-1], u)))
     return out
 
 

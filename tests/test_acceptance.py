@@ -22,12 +22,12 @@ from finposet import (
     is_contractible,
     is_isomorphic,
     realize,
-    remove_point,
     suspension,
     topology_census,
     two_dimension,
     verify_embedding,
 )
+from finposet.core import remove_element
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_criterion_02_beat_point_continuity(labeled, labeled_dims):
         for P in labeled[n]:
             d = labeled_dims[n][P.down_rows]
             for w in beat_points(P):
-                d2 = two_dimension(remove_point(P, w.point)).value
+                d2 = two_dimension(remove_element(P, w.point)).value
                 assert d - 1 <= d2 <= d
                 checked += 1
     assert checked > 0

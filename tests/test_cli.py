@@ -77,6 +77,15 @@ def test_info(tmp_path, capsys):
     assert lines[-1] == "contractible true"
 
 
+def test_info_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.poset"
+    path.write_text("")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 1
+    assert out == "size 0\nheight 0\n"
+    assert err == "error: the empty space has no embedding width bounds\n"
+
+
 def test_embed_verify_round_trip(tmp_path, capsys):
     poset_path = write_chain(tmp_path, 4)
     for method in ["exact", "canonical", "contractible"]:

@@ -54,6 +54,20 @@ def test_build_rejects_bad_input():
         fence().index("z")
 
 
+def test_check_raises_value_error_on_bad_rows():
+    # the raw constructor trusts its rows; check() must reject them with
+    # ValueError, not assert (python -O strips asserts)
+    with pytest.raises(ValueError, match="not reflexive"):
+        Poset("ab", [0b01, 0b00]).check()
+    with pytest.raises(ValueError, match="antisymmetry"):
+        Poset("ab", [0b11, 0b11]).check()
+    with pytest.raises(ValueError, match="transitivity"):
+        # a <= b and b <= c recorded, a <= c missing
+        Poset("abc", [0b001, 0b011, 0b110]).check()
+    with pytest.raises(ValueError, match="outside the element range"):
+        Poset("a", [0b11]).check()
+
+
 def test_covers_is_transitive_reduction():
     P = fence()
     assert covers(P) == [("c", "a"), ("d", "b"), ("d", "c")]

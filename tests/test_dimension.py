@@ -30,12 +30,12 @@ from finposet import (
     is_contractible,
     lower_bound,
     opposite,
-    remove_point,
     suspension,
     two_dimension,
     upper_bound,
     verify_embedding,
 )
+from finposet.core import remove_element
 
 
 def fence():
@@ -156,7 +156,7 @@ def test_two_dimension_deterministic():
 
 def test_extend_up_and_down_formulas():
     C = build_poset("abc", [("a", "b"), ("b", "c")])
-    rest = remove_point(C, "b")
+    rest = remove_element(C, "b")
     E = CubeEmbedding(rest, 1, {"a": 0, "c": 1})
     up = extend_embedding_at_beat_point(C, BeatPointWitness("b", "up", "c"), E)
     assert [up.bitstring(x) for x in "abc"] == ["00", "10", "11"]
@@ -167,7 +167,7 @@ def test_extend_up_and_down_formulas():
 
 def test_extend_rejects_bad_inputs():
     C = build_poset("abc", [("a", "b"), ("b", "c")])
-    rest = remove_point(C, "b")
+    rest = remove_element(C, "b")
     E = CubeEmbedding(rest, 1, {"a": 0, "c": 1})
     S = suspension(antichain(2), 1)
     with pytest.raises(InvalidWitness):
@@ -187,7 +187,7 @@ def test_extend_over_census():
     for n in range(2, 6):
         for P in enumerate_posets(n, up_to_iso=True):
             for w in beat_points(P):
-                E = canonical_embedding(remove_point(P, w.point))
+                E = canonical_embedding(remove_element(P, w.point))
                 grown = extend_embedding_at_beat_point(P, w, E)
                 assert grown.width == E.width + 1
                 assert verify_embedding(grown)
@@ -200,7 +200,7 @@ def test_down_beat_matches_opposite_route():
             for w in beat_points(P):
                 if w.kind != "down":
                     continue
-                rest = remove_point(P, w.point)
+                rest = remove_element(P, w.point)
                 E = canonical_embedding(rest)
                 direct = extend_embedding_at_beat_point(P, w, E)
 
@@ -269,7 +269,7 @@ def test_beat_point_continuity_census():
         for P in enumerate_posets(n, up_to_iso=True):
             d = two_dimension(P).value
             for w in beat_points(P):
-                d2 = two_dimension(remove_point(P, w.point)).value
+                d2 = two_dimension(remove_element(P, w.point)).value
                 assert d - 1 <= d2 <= d
 
 

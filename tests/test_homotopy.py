@@ -14,13 +14,12 @@ from finposet import (
     covers,
     enumerate_posets,
     hypercube,
-    is_beat_point,
     is_contractible,
     is_isomorphic,
     opposite,
-    remove_point,
     suspension,
 )
+from finposet.core import remove_element
 
 
 def fence():
@@ -52,22 +51,21 @@ def test_beat_points_antichain_and_cube():
     ]
 
 
-def test_is_beat_point():
+def test_beat_points_of_fence():
     P = fence()
-    w = is_beat_point(P, "b")
-    assert (w.point, w.kind, w.witness) == ("b", "down", "d")
-    assert is_beat_point(P, "d") is None
+    assert [w for w in witness_triples(P) if w[0] == "b"] == [("b", "down", "d")]
+    assert all(w[0] != "d" for w in witness_triples(P))
 
 
-def test_remove_point_keeps_transitivity():
+def test_remove_element_keeps_transitivity():
     C = chain(3)
-    R = remove_point(C, "1")
+    R = remove_element(C, "1")
     assert R.elements == ("0", "2")
     assert R.leq("0", "2")
     # removing c from the fence keeps d < a
-    R = remove_point(fence(), "c")
+    R = remove_element(fence(), "c")
     assert covers(R) == [("d", "a"), ("d", "b")]
-    R = remove_point(build_poset("x", []), "x")
+    R = remove_element(build_poset("x", []), "x")
     assert len(R) == 0
 
 
@@ -86,7 +84,7 @@ def test_core_trace_replays():
         for w in t.removals:
             live = beat_points(current)
             assert w in live
-            current = remove_point(current, w.point)
+            current = remove_element(current, w.point)
         assert current == t.core
         assert beat_points(t.core) == []
         assert len(t.core) == len(t.start) - len(t.removals)
@@ -140,7 +138,7 @@ def test_core_invariant_under_beat_removal():
         for P in enumerate_posets(n, up_to_iso=True):
             c = core(P).core
             for w in beat_points(P):
-                c2 = core(remove_point(P, w.point)).core
+                c2 = core(remove_element(P, w.point)).core
                 assert is_isomorphic(c, c2, guard=n)
 
 
