@@ -8,7 +8,7 @@ relations, asks it basic order questions, and counts its opens two
 independent ways.
 """
 
-from finposet import build_poset, covers, minimal_open_set, topology_census
+from finposet import build_poset, covers, topology_census
 from finposet.io import format_poset, to_dot
 
 # Four points with b > d, c > d and a > c.  Only the covers are given;
@@ -26,7 +26,7 @@ print("minimal:", P.minimal_elements())
 # The minimal open set of x is everything below x, the smallest open
 # neighbourhood of x in the down-set topology.
 for x in P.elements:
-    print("U_%s =" % x, sorted(minimal_open_set(P, x)))
+    print("U_%s =" % x, sorted(P.down_set(x)))
 
 # Open sets are in bijection with antichains: send an open set to its
 # maximal points.  topology_census counts both sides by brute force.

@@ -5,9 +5,9 @@ whose identity labeling is a linear extension): a poset on {0..j} is a
 poset on {0..j-1} plus a down-closed strict down-set for the new top
 label, and that correspondence is a bijection, so no deduplication is
 needed.  Every isomorphism class contains a natural labeling, so these
-representatives cover everything; unlabeled enumeration dedupes them up
-to isomorphism and labeled enumeration expands the classes by all label
-permutations.
+representatives cover everything; unlabeled enumeration dedupes them by
+the canonical form of ``core`` and labeled enumeration expands the
+classes by all label permutations.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import Callable, Iterable
 from .core import (
     Poset,
     _bits,
+    _canonical_rows,
+    _relabel,
     is_isomorphic,
     remove_element,
     topology_census,
@@ -58,79 +60,6 @@ def _natural_row_tuples(n: int) -> list[tuple[int, ...]]:
                     grown.append(rows + (dset | 1 << j,))
         level = grown
     return level
-
-
-def _canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """A canonical relabeling: equal results iff the posets are isomorphic.
-
-    Elements are partitioned by iterated degree refinement (a
-    label-independent process), which pins each element to a block of
-    consecutive positions; the canonical form is the minimum row tuple
-    over the remaining within-block relabelings.  Refinement only ever
-    splits blocks, so a round that adds no block is the fixed point.
-    Because strict comparability strictly grows down-set sizes, block
-    order refines the poset order and the result is naturally labeled.
-    """
-    n = len(rows)
-    up = [0] * n
-    for i, row in enumerate(rows):
-        for j in _bits(row):
-            up[j] |= 1 << i
-    start = [(rows[i].bit_count(), up[i].bit_count()) for i in range(n)]
-    ranks = {v: r for r, v in enumerate(sorted(set(start)))}
-    cur = [ranks[v] for v in start]
-    blocks = len(ranks)
-    while blocks < n:
-        fresh = [
-            (
-                cur[i],
-                tuple(sorted(cur[j] for j in _bits(rows[i]) if j != i)),
-                tuple(sorted(cur[j] for j in _bits(up[i]) if j != i)),
-            )
-            for i in range(n)
-        ]
-        ranks = {v: r for r, v in enumerate(sorted(set(fresh)))}
-        cur = [ranks[v] for v in fresh]
-        if len(ranks) == blocks:
-            break
-        blocks = len(ranks)
-    classes: list[list[int]] = [[] for _ in range(blocks)]
-    for i, r in enumerate(cur):
-        classes[r].append(i)
-    if blocks == n:
-        perm = [0] * n
-        for i, r in enumerate(cur):
-            perm[i] = r
-        return _relabel(rows, tuple(perm))
-    best: tuple[int, ...] | None = None
-    perm = [0] * n
-
-    def assign(ci: int, base: int) -> None:
-        nonlocal best
-        if ci == blocks:
-            cand = _relabel(rows, tuple(perm))
-            if best is None or cand < best:
-                best = cand
-            return
-        for p in permutations(classes[ci]):
-            for off, i in enumerate(p):
-                perm[i] = base + off
-            assign(ci + 1, base + len(p))
-
-    assign(0, 0)
-    assert best is not None
-    return best
-
-
-def _relabel(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Down rows after renaming label i to perm[i]."""
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        r = 0
-        for j in _bits(row):
-            r |= 1 << perm[j]
-        out[perm[i]] = r
-    return tuple(out)
 
 
 def _names(n: int) -> list[str]:

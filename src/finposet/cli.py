@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .census import census_check
-from .constructions import antichain, chain, cone, hypercube, suspension
+from .constructions import cone, standard_poset, suspension
 from .core import Poset, structure_stats
 from .dimension import (
     canonical_embedding,
@@ -33,6 +33,10 @@ from .io import (
     parse_poset,
     to_dot,
 )
+
+
+# `make` subcommands that take a size and build through standard_poset
+SIZED_MAKERS = ("chain", "antichain", "cube")
 
 
 def _read_poset(path: str) -> Poset:
@@ -100,12 +104,8 @@ def _cmd_core(args: argparse.Namespace) -> int:
 
 
 def _cmd_make(args: argparse.Namespace) -> int:
-    if args.maker == "chain":
-        P = chain(args.n)
-    elif args.maker == "antichain":
-        P = antichain(args.n)
-    elif args.maker == "cube":
-        P = hypercube(args.n)
+    if args.maker in SIZED_MAKERS:
+        P = standard_poset(args.maker, args.n)
     elif args.maker == "cone":
         P = cone(_read_poset(args.file))
     elif args.maker == "susp":
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make", help="emit standard and derived posets")
     makers = p.add_subparsers(dest="maker", required=True)
-    for name in ("chain", "antichain", "cube"):
+    for name in SIZED_MAKERS:
         m = makers.add_parser(name)
         m.add_argument("n", type=int)
         m.add_argument("-o", "--output")

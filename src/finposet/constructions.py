@@ -103,11 +103,6 @@ def hypercube(n: int) -> Poset:
     return Poset(names, rows)
 
 
-def sierpinski() -> Poset:
-    """The two-point space with one open point: 0 < 1."""
-    return chain(2)
-
-
 def standard_poset(kind: str, n: int = 0) -> Poset:
     """Dispatch by name: chain, antichain, hypercube (alias cube), sierpinski."""
     if kind == "chain":
@@ -117,5 +112,5 @@ def standard_poset(kind: str, n: int = 0) -> Poset:
     if kind in ("hypercube", "cube"):
         return hypercube(n)
     if kind == "sierpinski":
-        return sierpinski()
+        return chain(2)
     raise OutOfRange(f"unknown standard poset kind {kind!r}")

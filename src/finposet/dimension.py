@@ -197,46 +197,6 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     return None
 
 
-def exists_embedding_naive(P: Poset, width: int) -> CubeEmbedding | None:
-    """Reference search with no ordering tricks and no symmetry breaking.
-
-    Assigns elements in declared order, tries every mask, and checks the
-    full biconditional against everything assigned.  Exponentially slower
-    than exists_embedding but obviously correct; kept for cross-checks.
-    """
-    if width < 0:
-        raise OutOfRange("width must be >= 0")
-    if width > WIDTH_GUARD:
-        raise TooWide(f"embedding search is capped at width {WIDTH_GUARD}")
-    n = len(P)
-    if n == 0:
-        raise EmptyPoset("the empty space has no embeddings")
-    masks = [0] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        for m in range(1 << width):
-            ok = True
-            for j in range(i):
-                below = masks[j] | m == m
-                above = m | masks[j] == masks[j]
-                if below != P.leq(P.elements[j], P.elements[i]) or above != P.leq(
-                    P.elements[i], P.elements[j]
-                ):
-                    ok = False
-                    break
-            if ok:
-                masks[i] = m
-                if place(i + 1):
-                    return True
-        return False
-
-    if place(0):
-        return CubeEmbedding(P, width, {P.elements[i]: masks[i] for i in range(n)})
-    return None
-
-
 def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     """The exact least embedding width, by searching widths from the lower bound.
 

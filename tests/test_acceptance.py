@@ -18,7 +18,6 @@ from finposet import (
     contractible_embedding,
     core,
     enumerate_posets,
-    exists_embedding_naive,
     is_contractible,
     is_isomorphic,
     realize,
@@ -28,6 +27,7 @@ from finposet import (
     verify_embedding,
 )
 from finposet.core import remove_element
+from oracles import exists_embedding_naive
 
 
 @pytest.fixture(scope="module")

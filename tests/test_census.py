@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -46,8 +47,22 @@ def test_labeled_counts_against_matrix_filter():
         assert len(enumerate_posets(n)) == brute_force_labeled_count(n)
 
 
+# SHA-256 of repr([P.down_rows for P in reps]) for each n: pins the
+# canonical representatives and their order, not just their number.
+UNLABELED_DIGESTS = {
+    1: "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
+    2: "c29f7b44404ae46750dd43eda03f8b36dda994e2ec588103f93ab9e853bb3e85",
+    3: "7b88aaac59b8ae1783c7e3c9e6de369d8303aab9614b9e1bbe95535a89cf31ee",
+    4: "5abac8e1f7704cc70ab5bd3324f36ec785a40e4db178626d48cf630981c3630c",
+    5: "dd2e13095096a755a44d8f2ef9c795471b5eb68c24405c8893fae615939f64f7",
+    6: "0f53e858bc4af9ce9d3856388bb20b630c9ca29058c33e560f3e36125a0991d9",
+    7: "87f2b88c9cc77b6ea63d92e81ffa97bf0f8aa0c0abd274dff1e11a970119372e",
+}
+
+
 def test_unlabeled_counts():
-    assert [len(enumerate_posets(n, up_to_iso=True)) for n in range(1, 8)] == [
+    reps = {n: enumerate_posets(n, up_to_iso=True) for n in range(1, 8)}
+    assert [len(reps[n]) for n in range(1, 8)] == [
         1,
         2,
         5,
@@ -56,6 +71,9 @@ def test_unlabeled_counts():
         318,
         2045,
     ]
+    for n, digest in UNLABELED_DIGESTS.items():
+        rows = repr([P.down_rows for P in reps[n]]).encode()
+        assert hashlib.sha256(rows).hexdigest() == digest
 
 
 def test_enumerated_posets_are_valid():

@@ -16,7 +16,6 @@ from finposet import (
     is_isomorphic,
     join,
     product,
-    sierpinski,
     standard_poset,
     structure_stats,
     suspension,
@@ -25,7 +24,7 @@ from finposet import (
 
 def example4_space():
     # a 2-chain next to an isolated point
-    return disjoint_union(sierpinski(), build_poset(["p"], []))
+    return disjoint_union(chain(2), build_poset(["p"], []))
 
 
 def test_join_of_chains():
@@ -119,9 +118,9 @@ def test_hypercube():
 
 def test_hypercube_is_sierpinski_power():
     for n in range(1, 5):
-        power = sierpinski()
+        power = chain(2)
         for _ in range(n - 1):
-            power = product(power, sierpinski())
+            power = product(power, chain(2))
         assert is_isomorphic(power, hypercube(n), guard=16)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,16 +14,18 @@ from finposet import (
     chain,
     covers,
     disjoint_union,
+    enumerate_posets,
     hypercube,
     induced_subposet,
     is_initial_map,
     is_isomorphic,
-    minimal_open_set,
     opposite,
     product,
+    random_poset,
     structure_stats,
     topology_census,
 )
+from oracles import is_isomorphic_brute
 
 
 def fence():
@@ -79,10 +82,10 @@ def test_covers_is_transitive_reduction():
 
 def test_minimal_open_sets():
     P = fence()
-    assert minimal_open_set(P, "a") == {"a", "c", "d"}
-    assert minimal_open_set(P, "b") == {"b", "d"}
-    assert minimal_open_set(P, "c") == {"c", "d"}
-    assert minimal_open_set(P, "d") == {"d"}
+    assert P.down_set("a") == {"a", "c", "d"}
+    assert P.down_set("b") == {"b", "d"}
+    assert P.down_set("c") == {"c", "d"}
+    assert P.down_set("d") == {"d"}
 
 
 def test_extremal_elements():
@@ -220,6 +223,50 @@ def test_is_isomorphic():
     with pytest.raises(TooLarge):
         is_isomorphic(chain(11), chain(11))
     assert is_isomorphic(chain(11), chain(11), guard=11)
+
+
+def relabeled(P, rng):
+    """P with its points declared in a random order: new rows, same order."""
+    return build_poset(rng.sample(P.elements, len(P)), covers(P))
+
+
+def one_cover_changed(P):
+    """Every poset made from P by removing one cover pair or adding one incomparable pair."""
+    pairs = covers(P)
+    out = [build_poset(P.elements, [c for c in pairs if c != gone]) for gone in pairs]
+    for x, y in itertools.permutations(P.elements, 2):
+        if not P.leq(x, y) and not P.leq(y, x):
+            out.append(build_poset(P.elements, pairs + [(x, y)]))
+    return out
+
+
+def test_is_isomorphic_matches_brute_force_oracle():
+    reps = enumerate_posets(4, up_to_iso=True)
+    for P in enumerate_posets(4):
+        for Q in reps:
+            assert is_isomorphic(P, Q) == is_isomorphic_brute(P, Q)
+    rng = random.Random(0)
+    bases = [
+        random_poset(5 + s % 3, (0.2, 0.35, 0.5)[s // 3 % 3], seed=s) for s in range(30)
+    ]
+    for P in bases + [hypercube(3), antichain(6)]:
+        Q = relabeled(P, rng)
+        assert is_isomorphic(P, Q) and is_isomorphic_brute(P, Q)
+        changed = one_cover_changed(P)
+        sample = [P] + rng.sample(changed, min(4, len(changed)))
+        for A, B in itertools.combinations(sample, 2):
+            B = relabeled(B, rng)
+            assert is_isomorphic(A, B) == is_isomorphic_brute(A, B)
+    # a hexagon next to a 4-crown: refinement leaves all minimal points in
+    # one cell although they lie in two orbits, so the search must branch
+    H = build_poset(
+        "a0 a1 a2 b0 b1 b2 c0 c1 d0 d1".split(),
+        [(f"a{i}", f"b{i}") for i in range(3)]
+        + [(f"a{(i + 1) % 3}", f"b{i}") for i in range(3)]
+        + [(c, d) for c in ("c0", "c1") for d in ("d0", "d1")],
+    )
+    for _ in range(20):
+        assert is_isomorphic(H, relabeled(H, rng))
 
 
 def test_equality_and_hash():

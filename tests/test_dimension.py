@@ -23,7 +23,6 @@ from finposet import (
     core,
     enumerate_posets,
     exists_embedding,
-    exists_embedding_naive,
     extend_embedding_at_beat_point,
     hypercube,
     induced_subposet,
@@ -36,6 +35,7 @@ from finposet import (
     verify_embedding,
 )
 from finposet.core import remove_element
+from oracles import exists_embedding_naive
 
 
 def fence():

@@ -1,4 +1,9 @@
-"""Property tests of the deflation laws on random posets of 8-14 points."""
+"""Property tests on random posets.
+
+The deflation laws, isomorphism under relabeling and the text round trip
+run on 8-14 points, beyond the census sizes; the 2-dimension laws run on
+4-7 points (4-5 for suspension), where the exact search stays fast.
+"""
 
 import contextlib
 import io
@@ -9,15 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finposet import (
+    build_poset,
     cone,
     contractible_embedding,
     core,
+    covers,
     format_poset,
     is_isomorphic,
+    opposite,
+    parse_poset,
     random_poset,
+    suspension,
+    two_dimension,
     verify_embedding,
 )
 from finposet.cli import dispatch
+from finposet.core import remove_element
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -33,6 +45,10 @@ def posets(draw, min_size=8, max_size=14):
 @pytest.fixture(scope="module")
 def poset_file(tmp_path_factory):
     return tmp_path_factory.mktemp("properties") / "p.poset"
+
+
+def dim(P):
+    return two_dimension(P).value
 
 
 def cli_lines(*argv):
@@ -69,3 +85,35 @@ def test_contractible_embedding_has_width_n_minus_1(P):
     assert E.poset == X
     assert E.width == len(X) - 1
     assert verify_embedding(E)
+
+
+@PROPERTY_SETTINGS
+@given(posets(), st.data())
+def test_isomorphic_to_every_relabeling(P, data):
+    order = data.draw(st.permutations(P.elements))
+    assert is_isomorphic(P, build_poset(order, covers(P)), guard=len(P))
+
+
+@PROPERTY_SETTINGS
+@given(posets())
+def test_parse_format_round_trip(P):
+    assert parse_poset(format_poset(P)) == P
+
+
+@PROPERTY_SETTINGS
+@given(posets(min_size=4, max_size=7))
+def test_dimension_invariant_under_opposite(P):
+    assert dim(opposite(P)) == dim(P)
+
+
+@PROPERTY_SETTINGS
+@given(posets(min_size=4, max_size=5))
+def test_suspension_adds_two(P):
+    assert dim(suspension(P)) == dim(P) + 2
+
+
+@PROPERTY_SETTINGS
+@given(posets(min_size=4, max_size=7))
+def test_dimension_monotone_under_point_removal(P):
+    d = dim(P)
+    assert all(dim(remove_element(P, x)) <= d for x in P.elements)
