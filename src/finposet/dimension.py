@@ -6,14 +6,17 @@ Embeddings are stored as one subset mask per element; coordinate i is
 bit i, and bitstrings print coordinate 0 first.
 
 Three routes produce certified embeddings: an exhaustive width search
-(exact, with symmetry breaking), the canonical characteristic-function
-embedding of width |P|, and a deflation replay that turns a core
-computation into an embedding one new coordinate per removed point.
+(exact, pruned by coordinate and twin symmetry and by up-set capacity),
+the canonical characteristic-function embedding of width |P|, and a
+deflation replay that turns a core computation into an embedding one
+new coordinate per removed point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .core import Poset, _bits, remove_element, structure_stats
 from .errors import (
@@ -130,14 +133,91 @@ def verify_embedding(E: CubeEmbedding) -> bool:
     return True
 
 
+class _Plan(NamedTuple):
+    """What the width search needs of P, indexed by position in a linear extension."""
+
+    order: tuple[int, ...]  # element index at each position
+    covers: tuple[tuple[int, ...], ...]  # earlier positions covered by each position
+    incomparable: tuple[tuple[int, ...], ...]  # earlier positions incomparable to it
+    need: tuple[int, ...]  # free coordinates its strict up-set needs
+    twin_first: tuple[int, ...]  # first position of its twin class
+    twin_prev: tuple[int, ...]  # previous position of its twin class, or -1
+    start: int  # max(ceil(log2 |P|), max need): no smaller width can succeed
+
+
+@lru_cache(maxsize=1)
+def _plan(P: Poset) -> _Plan:
+    """The search plan of P, built once and reused by every width tried."""
+    n = len(P)
+    order = [P.index(e) for e in structure_stats(P).linear_extension]
+    pos = [0] * n
+    for t, i in enumerate(order):
+        pos[i] = t
+    # strict down- and up-sets as bit rows over positions
+    below = [0] * n
+    above = [0] * n
+    for t, i in enumerate(order):
+        for j in _bits(P.down_rows[i] & ~(1 << i)):
+            below[t] |= 1 << pos[j]
+            above[pos[j]] |= 1 << t
+    covers, incomparable = [], []
+    for t in range(n):
+        lower_covers = below[t]
+        for s in _bits(below[t]):
+            lower_covers &= ~below[s]
+        covers.append(tuple(_bits(lower_covers)))
+        incomparable.append(tuple(_bits(((1 << t) - 1) & ~below[t])))
+    chain_above = [0] * n
+    for t in reversed(range(n)):
+        for s in _bits(below[t]):
+            chain_above[s] = max(chain_above[s], chain_above[t] + 1)
+    need = [max(chain_above[t], above[t].bit_count().bit_length()) for t in range(n)]
+    first: dict[tuple[int, int], int] = {}
+    last: dict[tuple[int, int], int] = {}
+    twin_first, twin_prev = [], []
+    for t in range(n):
+        key = (below[t], above[t])
+        twin_first.append(first.setdefault(key, t))
+        twin_prev.append(last.get(key, -1))
+        last[key] = t
+    return _Plan(
+        tuple(order),
+        tuple(covers),
+        tuple(incomparable),
+        tuple(need),
+        tuple(twin_first),
+        tuple(twin_prev),
+        max((n - 1).bit_length(), max(need)),
+    )
+
+
 def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     """Search for an order embedding of P into the width-cube, or None.
 
-    Backtracks along a linear extension.  Coordinates are interchangeable
-    until first used, so candidates only ever extend the used block at
-    its top: a candidate for the next element is (forced bits) | (some
-    subset of the unforced already-used coordinates) | (a run of brand
-    new coordinates), which prunes the n! coordinate relabelings to one.
+    Backtracks along a linear extension, with a plan of P built once and
+    reused by every width: each position's earlier covers and earlier
+    incomparable positions, its capacity need and its twin links.  The
+    mask of an element is the union of its covers' masks plus more bits,
+    and must differ from every mask so far and be incomparable to the
+    masks of its earlier incomparable elements.  Three rules cut the
+    candidates:
+
+    - Coordinates are interchangeable until first used, so candidates
+      only ever extend the used block at its top: (forced bits) | (some
+      subset of the unforced already-used coordinates) | (a run of brand
+      new coordinates), which prunes the n! coordinate relabelings to one.
+    - Capacity: the strict up-set U of x sits strictly above mask(x),
+      inside the sub-cube on the coordinates mask(x) leaves free, so
+      those must number at least the longest chain in U and at least
+      bit_length(|U|).  That is need(x), and mask(x) has at most
+      width - need(x) bits.
+    - Twins (same strict down-set and up-set) are interchangeable.  With
+      u the coordinates used before the first twin of a class is placed,
+      key(m) = (popcount(m >> u), m & (2^u - 1)) never decreases along
+      the class.  Permuting twins fixes everything placed before them,
+      and relabeling the coordinates from u on keeps every key, so each
+      embedding has a relabeled form that passes both this rule and the
+      first one.
     """
     if width < 0:
         raise OutOfRange("width must be >= 0")
@@ -148,67 +228,75 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
         raise EmptyPoset("the empty space has no embeddings")
     if n > (1 << width):
         return None
+    plan = _plan(P)
+    if width < plan.start:
+        return None
+    covers, incomparable, need = plan.covers, plan.incomparable, plan.need
+    twin_first, twin_prev = plan.twin_first, plan.twin_prev
+    masks = [0] * n  # by position
+    used_at = [0] * n  # coordinates in use when each position was placed
+    taken: set[int] = set()
 
-    ext = structure_stats(P).linear_extension
-    order = [P.index(e) for e in ext]
-    down = P.down_rows
-    masks = [0] * n
-    used_masks: set[int] = set()
-
-    def place(t: int, used_count: int) -> bool:
+    def place(t: int, used: int) -> bool:
         if t == n:
             return True
-        i = order[t]
-        below = down[i] & ~(1 << i)
-        incomparable = []
         forced = 0
-        for s in range(t):
-            j = order[s]
-            if below >> j & 1:
-                forced |= masks[j]
-            else:
-                incomparable.append(masks[j])
-        used_low = (1 << used_count) - 1
-        free = used_low & ~forced
-        for t_new in range(width - used_count + 1):
-            block = ((1 << t_new) - 1) << used_count
+        for s in covers[t]:
+            forced |= masks[s]
+        room = width - need[t] - forced.bit_count()
+        if room < 0:
+            return False
+        others = [masks[s] for s in incomparable[t]]
+        prev = twin_prev[t]
+        if prev >= 0:
+            u = used_at[twin_first[t]]
+            low = (1 << u) - 1
+            floor = ((masks[prev] >> u).bit_count(), masks[prev] & low)
+        used_at[t] = used
+        free = ((1 << used) - 1) & ~forced
+        free_bits = free.bit_count()
+        spare = width - used
+        for t_new in range(room + 1 if room < spare else spare + 1):
+            block = ((1 << t_new) - 1) << used
+            left = room - t_new
             sub = 0
             while True:
-                m = forced | sub | block
-                if m not in used_masks:
-                    ok = True
-                    for other in incomparable:
-                        if m | other == other or m | other == m:
-                            ok = False
-                            break
-                    if ok:
-                        masks[i] = m
-                        used_masks.add(m)
-                        if place(t + 1, used_count + t_new):
-                            return True
-                        used_masks.discard(m)
+                if left >= free_bits or sub.bit_count() <= left:
+                    m = forced | sub | block
+                    if m not in taken and (prev < 0 or ((m >> u).bit_count(), m & low) >= floor):
+                        for other in others:
+                            if m | other == other or m | other == m:
+                                break
+                        else:
+                            masks[t] = m
+                            taken.add(m)
+                            if place(t + 1, used + t_new):
+                                return True
+                            taken.discard(m)
                 sub = (sub - free) & free
                 if sub == 0:
                     break
         return False
 
     if place(0, 0):
-        return CubeEmbedding(P, width, {P.elements[i]: masks[i] for i in range(n)})
+        elements = P.elements
+        return CubeEmbedding(P, width, {elements[i]: masks[t] for t, i in enumerate(plan.order)})
     return None
 
 
 def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
-    """The exact least embedding width, by searching widths from the lower bound.
+    """The exact least embedding width, by searching widths upwards.
 
-    Sizes above max_size are refused (the search is exponential); raise
-    the cap explicitly to push further.
+    The first width tried is the search plan's start, which is at least
+    lower_bound(P).  Sizes above max_size are refused (the search is
+    exponential); raise the cap explicitly to push further.
     """
     n = len(P)
     if n == 0:
         raise EmptyPoset("the empty space has no 2-dimension")
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
-    for w in range(lower_bound(P), n + 1):
+    for w in range(_plan(P).start, n + 1):
         E = exists_embedding(P, w)
         if E is not None:
             return DimCertificate(w, E, True)

@@ -6,7 +6,7 @@ routines can be checked against it.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import count, permutations
 
 from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide
 from finposet.dimension import WIDTH_GUARD
@@ -69,3 +69,46 @@ def is_isomorphic_brute(P: Poset, Q: Poset) -> bool:
     return any(
         all((p[j], p[i]) in rel_q for j, i in rel_p) for p in permutations(range(len(P)))
     )
+
+
+def two_dimension_cover(P: Poset) -> int:
+    """The 2-dimension as the least number of up-sets covering all pairs x, y with x not <= y.
+
+    Coordinate k of an embedding into 2^w picks out an up-set (the
+    elements whose mask has bit k), and mask(x) is a subset of mask(y)
+    exactly when every one of those up-sets containing x contains y.  So
+    P embeds in 2^w if and only if w up-sets cover every pair x not <= y,
+    where U covers (x, y) when x is in U and y is not.  Up-sets whose
+    covered pairs are all covered by another up-set are dropped, then an
+    iterative-deepening set cover branches over the up-sets covering the
+    uncovered pair that the fewest up-sets cover.
+    """
+    n = len(P)
+    if n == 0:
+        raise EmptyPoset("the empty space has no 2-dimension")
+    leq = [[P.leq(x, y) for y in P.elements] for x in P.elements]
+    pairs = [(x, y) for x in range(n) for y in range(n) if not leq[x][y]]
+    upset_covers = set()
+    for S in range(1 << n):
+        members = [x for x in range(n) if S >> x & 1]
+        if all(S >> y & 1 for x in members for y in range(n) if leq[x][y]):
+            upset_covers.add(sum(1 << p for p, (x, y) in enumerate(pairs) if S >> x & 1 and not S >> y & 1))
+    sets = [c for c in upset_covers if not any(c != d and c | d == d for d in upset_covers)]
+    largest = max((c.bit_count() for c in sets), default=0)
+    # pairs that few up-sets cover are branched on first
+    rarest = sorted(range(len(pairs)), key=lambda p: sum(c >> p & 1 for c in sets))
+    failed: set[tuple[int, int]] = set()
+
+    def coverable(k: int, uncovered: int) -> bool:
+        if uncovered == 0:
+            return True
+        if k * largest < uncovered.bit_count() or (k, uncovered) in failed:
+            return False
+        pair = next(1 << p for p in rarest if uncovered >> p & 1)
+        if any(c & pair and coverable(k - 1, uncovered & ~c) for c in sets):
+            return True
+        failed.add((k, uncovered))
+        return False
+
+    everything = (1 << len(pairs)) - 1
+    return next(w for w in count() if coverable(w, everything))

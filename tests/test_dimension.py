@@ -21,6 +21,7 @@ from finposet import (
     cone,
     contractible_embedding,
     core,
+    covers,
     enumerate_posets,
     exists_embedding,
     extend_embedding_at_beat_point,
@@ -29,13 +30,15 @@ from finposet import (
     is_contractible,
     lower_bound,
     opposite,
+    random_poset,
     suspension,
     two_dimension,
     upper_bound,
     verify_embedding,
 )
+from finposet import dimension
 from finposet.core import remove_element
-from oracles import exists_embedding_naive
+from oracles import exists_embedding_naive, two_dimension_cover
 
 
 def fence():
@@ -104,8 +107,9 @@ def test_exists_embedding_chain_prefix_masks():
 
 
 def test_exists_embedding_antichain_sperner():
-    # largest antichain of the w-cube has size C(w, w//2)
-    for n in range(2, 7):
+    # largest antichain of the w-cube has size C(w, w//2); all points of
+    # an antichain are twins, and the twin rule must keep every answer
+    for n in range(2, 11):
         for w in range(0, 6):
             found = exists_embedding(antichain(n), w) is not None
             assert found == (comb(w, w // 2) >= n)
@@ -286,3 +290,78 @@ def test_naive_oracle_matches():
                 w for w in range(0, n + 1) if exists_embedding_naive(P, w) is not None
             )
             assert two_dimension(P).value == naive_value
+
+
+def with_twin(P, x):
+    """P plus a new point with the same strict down-set and up-set as x."""
+    twin = f"t{len(P)}"
+    below = [(y, twin) for y in P.down_set(x) if y != x]
+    above = [(twin, y) for y in P.up_set(x) if y != x]
+    return build_poset(list(P.elements) + [twin], covers(P) + below + above)
+
+
+def random_posets_with_twins():
+    """20 seeded random posets of 8-10 points, each with at least one twin class."""
+    out = []
+    for seed in range(20):
+        P = random_poset(6 + seed % 3, (0.2, 0.35, 0.5)[seed % 3], seed=seed)
+        for k in range(2):
+            P = with_twin(P, P.elements[(seed + 3 * k) % len(P)])
+        out.append(P)
+    return out
+
+
+def test_cover_oracle_matches_over_unlabeled_census():
+    for n in range(1, 7):
+        for P in enumerate_posets(n, up_to_iso=True):
+            cert = two_dimension(P)
+            assert cert.value == two_dimension_cover(P)
+            assert cert.exhausted_below and cert.witness.width == cert.value
+            assert verify_embedding(cert.witness)
+
+
+def test_cover_oracle_matches_on_random_posets_with_twins():
+    for P in random_posets_with_twins():
+        assert 8 <= len(P) <= 10
+        cert = two_dimension(P)
+        assert cert.value == two_dimension_cover(P)
+        assert verify_embedding(cert.witness)
+
+
+def test_capacity_rule_on_suspended_antichain():
+    # each of the six antichain points has two incomparable tops above it,
+    # so its mask leaves at least two coordinates free
+    P = suspension(antichain(6))
+    assert exists_embedding(P, 5) is None
+    E = exists_embedding(P, 6)
+    assert E is not None and verify_embedding(E)
+
+
+def test_capacity_rule_bounds_mask_size():
+    # seven points above a bottom need bit_length(7) = 3 free coordinates
+    P = build_poset("b0123456", [("b", str(k)) for k in range(7)])
+    assert dimension._plan(P).need[0] == 3
+    assert two_dimension(P).value == 5  # C(5, 2) >= 7 > C(4, 2)
+    for w in range(5, len(P) + 1):
+        E = exists_embedding(P, w)
+        assert E is not None and verify_embedding(E)
+        assert E.masks["b"].bit_count() <= w - 3
+
+
+def test_structure_stats_once_per_two_dimension(monkeypatch):
+    calls = {"structure_stats": 0, "exists_embedding": 0}
+
+    def counted(name):
+        original = getattr(dimension, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(dimension, "structure_stats", counted("structure_stats"))
+    monkeypatch.setattr(dimension, "exists_embedding", counted("exists_embedding"))
+    dimension._plan.cache_clear()
+    assert two_dimension(suspension(antichain(6))).value == 6
+    assert calls == {"structure_stats": 1, "exists_embedding": 4}

@@ -2,7 +2,8 @@
 
 The deflation laws, isomorphism under relabeling and the text round trip
 run on 8-14 points, beyond the census sizes; the 2-dimension laws run on
-4-7 points (4-5 for suspension), where the exact search stays fast.
+4-7 points (4-6 for suspension, whose exact search is on two more
+points), where the exact search stays fast.
 """
 
 import contextlib
@@ -107,7 +108,7 @@ def test_dimension_invariant_under_opposite(P):
 
 
 @PROPERTY_SETTINGS
-@given(posets(min_size=4, max_size=5))
+@given(posets(min_size=4, max_size=6))
 def test_suspension_adds_two(P):
     assert dim(suspension(P)) == dim(P) + 2
 
