@@ -1,13 +1,14 @@
 """Exhaustive and random poset generation, plus whole-census property checks.
 
-Generation works level by level over naturally labeled posets (those
-whose identity labeling is a linear extension): a poset on {0..j} is a
-poset on {0..j-1} plus a down-closed strict down-set for the new top
-label, and that correspondence is a bijection, so no deduplication is
-needed.  Every isomorphism class contains a natural labeling, so these
-representatives cover everything; unlabeled enumeration dedupes them by
-the canonical form of ``core`` and labeled enumeration expands the
-classes by all label permutations.
+Generation works on isomorphism classes, level by level: the classes on
+j+1 points are the canonical forms of every class on j points with a new
+maximal point added above one of its down-closed subsets.  Different
+extensions often give isomorphic posets, so each level is deduplicated
+by canonical form (``core._canonical_rows``); this is not McKay's full
+canonical augmentation, which would avoid generating the duplicates.
+Labeled enumeration expands each class into its orbit, the distinct
+relabelings on 0..n-1, and census checks run once per class, counting
+labeled posets by orbit.
 """
 
 from __future__ import annotations
@@ -37,61 +38,67 @@ from .errors import OutOfRange, TooLarge, UnknownCheck
 from .homotopy import beat_points, core, is_contractible
 
 LABELED_GUARD = 6
-UNLABELED_GUARD = 7
-
-
-def _natural_row_tuples(n: int) -> list[tuple[int, ...]]:
-    """All naturally labeled posets on {0..n-1}, as down-row tuples."""
-    level: list[tuple[int, ...]] = [()]
-    for j in range(n):
-        grown = []
-        for rows in level:
-            for dset in range(1 << j):
-                ok = True
-                rest = dset
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if rows[low.bit_length() - 1] & ~dset:
-                        ok = False
-                        break
-                if ok:
-                    grown.append(rows + (dset | 1 << j,))
-        level = grown
-    return level
+UNLABELED_GUARD = 8
 
 
 def _names(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
 
+def _down_sets(rows: tuple[int, ...]) -> list[int]:
+    """Every down-closed subset of a naturally labeled poset, as a bitmask."""
+    sets = [0]
+    for i, row in enumerate(rows):
+        below = row & ~(1 << i)
+        sets += [d | 1 << i for d in sets if d & below == below]
+    return sets
+
+
 def _iso_classes(n: int) -> list[Poset]:
-    """One canonical representative per isomorphism class, sorted by row tuple."""
-    seen = {_canonical_rows(rows) for rows in _natural_row_tuples(n)}
+    """One canonical representative per isomorphism class, sorted by row tuple.
+
+    Grown one maximal point at a time: every poset on j+1 points has a
+    maximal point x, and P - x is isomorphic to a representative R on j
+    points, so the classes on j+1 points are the canonical forms of R
+    plus a new top label j above a down-closed subset of R.
+    """
+    level: list[tuple[int, ...]] = [()]
+    for j in range(n):
+        level = sorted({
+            _canonical_rows(rows + (d | 1 << j,)) for rows in level for d in _down_sets(rows)
+        })
     names = _names(n)
-    return [Poset(names, rows) for rows in sorted(seen)]
+    return [Poset(names, rows) for rows in level]
+
+
+def _orbit(rows: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every distinct relabeling of a poset on labels 0..n-1."""
+    return {_relabel(rows, perm) for perm in permutations(range(len(rows)))}
+
+
+def _check_size(n: int, up_to_iso: bool) -> None:
+    if n < 0:
+        raise OutOfRange("size must be >= 0")
+    if up_to_iso and n > UNLABELED_GUARD:
+        raise TooLarge(f"unlabeled enumeration is capped at {UNLABELED_GUARD}")
+    if not up_to_iso and n > LABELED_GUARD:
+        raise TooLarge(f"labeled enumeration is capped at {LABELED_GUARD}")
 
 
 def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
     """Every poset on labels 0..n-1, or one per isomorphism class.
 
-    Labeled enumeration is capped at 6 elements and unlabeled at 7; the
-    next sizes up are two orders of magnitude larger.
+    Labeled enumeration is capped at 6 elements (130,023 posets) and
+    unlabeled at 8 (16,999 classes); the next sizes up are one to two
+    orders of magnitude larger.
     """
-    if n < 0:
-        raise OutOfRange("size must be >= 0")
+    _check_size(n, up_to_iso)
+    classes = _iso_classes(n)
     if up_to_iso:
-        if n > UNLABELED_GUARD:
-            raise TooLarge(f"unlabeled enumeration is capped at {UNLABELED_GUARD}")
-        return _iso_classes(n)
-    if n > LABELED_GUARD:
-        raise TooLarge(f"labeled enumeration is capped at {LABELED_GUARD}")
+        return classes
     names = _names(n)
-    seen: set[tuple[int, ...]] = set()
-    for P in _iso_classes(n):
-        for perm in permutations(range(n)):
-            seen.add(_relabel(P.down_rows, perm))
-    return [Poset(names, rows) for rows in sorted(seen)]
+    labeled = set().union(*(_orbit(P.down_rows) for P in classes))
+    return [Poset(names, rows) for rows in sorted(labeled)]
 
 
 def random_poset(n: int, edge_prob: float = 0.5, seed: int | None = None) -> Poset:
@@ -206,17 +213,29 @@ CHECKS: dict[str, Callable[[Poset], bool]] = {
 def census_check(n: int, checks: Iterable[str], up_to_iso: bool = False) -> CensusReport:
     """Run the named property checks over every size-n poset in the census.
 
-    Unknown names raise UnknownCheck before any work starts.  Posets that
-    fail a check are collected verbatim as counterexamples.
+    Unknown names raise UnknownCheck before any work starts.  Every check
+    must be an isomorphism invariant: it runs once per class, on the
+    canonical representative.  Unlabeled, each class counts once and a
+    failing representative is a counterexample.  Labeled, a class counts
+    as its orbit (its distinct relabelings on 0..n-1), and the
+    counterexamples are the orbits of the failing classes in sorted row
+    order, as in ``enumerate_posets(n)``.
     """
     wanted = list(checks)
     for name in wanted:
         if name not in CHECKS:
             raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    posets = enumerate_posets(n, up_to_iso=up_to_iso)
+    _check_size(n, up_to_iso)
+    classes = enumerate_posets(n, up_to_iso=True)
+    if up_to_iso:
+        orbits = [(P.down_rows,) for P in classes]
+    else:
+        orbits = [_orbit(P.down_rows) for P in classes]
+    posets = sum(len(orbit) for orbit in orbits)
+    names = _names(n)
     results = []
     for name in wanted:
         fn = CHECKS[name]
-        bad = tuple(P for P in posets if not fn(P))
-        results.append(CheckResult(name, len(posets), bad))
+        bad = sorted(rows for P, orbit in zip(classes, orbits) if not fn(P) for rows in orbit)
+        results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
     return CensusReport(n, up_to_iso, tuple(results))

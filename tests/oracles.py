@@ -7,8 +7,10 @@ routines can be checked against it.
 from __future__ import annotations
 
 from itertools import count, permutations
+from typing import Iterable
 
-from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide
+from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide, enumerate_posets
+from finposet.census import CHECKS, CensusReport, CheckResult
 from finposet.dimension import WIDTH_GUARD
 
 
@@ -112,3 +114,17 @@ def two_dimension_cover(P: Poset) -> int:
 
     everything = (1 << len(pairs)) - 1
     return next(w for w in count() if coverable(w, everything))
+
+
+def census_check_brute(n: int, checks: Iterable[str]) -> CensusReport:
+    """The labeled census the slow way: every check on every labeled poset.
+
+    Unlike census_check it needs no check to be an isomorphism invariant,
+    so a check that depends on the labeling makes the two reports differ.
+    """
+    posets = enumerate_posets(n)
+    results = tuple(
+        CheckResult(name, len(posets), tuple(P for P in posets if not CHECKS[name](P)))
+        for name in checks
+    )
+    return CensusReport(n, False, results)

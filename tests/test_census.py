@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from finposet import (
+    EmptyPoset,
     TooLarge,
     UnknownCheck,
     antichain,
@@ -14,6 +15,7 @@ from finposet import (
     random_poset,
 )
 from finposet.census import CHECKS
+from oracles import census_check_brute
 
 
 def brute_force_labeled_count(n):
@@ -110,7 +112,12 @@ def test_enumeration_guards():
     with pytest.raises(TooLarge):
         enumerate_posets(7)
     with pytest.raises(TooLarge):
-        enumerate_posets(8, up_to_iso=True)
+        enumerate_posets(9, up_to_iso=True)
+
+
+def test_unlabeled_count_8():
+    # OEIS A000112
+    assert len(enumerate_posets(8, up_to_iso=True)) == 16999
 
 
 def test_random_poset():
@@ -157,3 +164,37 @@ def test_census_check_collects_counterexamples(monkeypatch):
     assert not report.ok()
     assert report.format_lines() == ["CHECK never posets=3 counterexamples=3"]
     assert all(len(P) == 2 for P in report.results[0].counterexamples)
+
+
+def test_census_check_matches_brute_labeled_census():
+    # a check that depended on the labeling would make these differ
+    for n in range(0, 5):
+        checks = sorted(CHECKS) if n else ["antichain-bijection"]
+        assert census_check(n, checks) == census_check_brute(n, checks)
+    checks = ["bounds", "antichain-bijection"]
+    assert census_check(5, checks) == census_check_brute(5, checks)
+
+
+def test_census_check_expands_failing_orbits(monkeypatch):
+    def no_maximum(P):
+        full = (1 << len(P)) - 1
+        return full not in P.down_rows
+
+    monkeypatch.setitem(CHECKS, "no-maximum", no_maximum)
+    report = census_check(4, ["no-maximum"])
+    brute = census_check_brute(4, ["no-maximum"])
+    bad = report.results[0].counterexamples
+    assert len(bad) == 4 * 19
+    assert bad == brute.results[0].counterexamples
+    unlabeled = census_check(4, ["no-maximum"], up_to_iso=True).results[0]
+    assert (unlabeled.posets, len(unlabeled.counterexamples)) == (16, 5)
+
+
+def test_census_check_edge_and_scale():
+    for up_to_iso in (False, True):
+        report = census_check(0, ["antichain-bijection"], up_to_iso=up_to_iso)
+        assert report.format_lines() == ["CHECK antichain-bijection posets=1 counterexamples=0"]
+        with pytest.raises(EmptyPoset):
+            census_check(0, ["bounds"], up_to_iso=up_to_iso)
+    report = census_check(6, ["antichain-bijection"])
+    assert report.format_lines() == ["CHECK antichain-bijection posets=130023 counterexamples=0"]
