@@ -33,9 +33,11 @@ E = canonical_embedding(P)
 print("canonical width:", E.width)
 assert verify_embedding(E)
 
-# The exact search tries widths from the lower bound upwards.  Each
-# width is decided by a backtracking search that assigns masks along a
-# linear extension.
+# The exact answer tries widths from the lower bound upwards.  A small
+# poset like this one (4 points) is decided width by width by a
+# backtracking search that assigns masks along a linear extension;
+# posets of 6 or more points with few up-sets are solved instead as a
+# cover of their critical pairs by up-sets, one up-set per coordinate.
 cert = two_dimension(P)
 print()
 print(format_certificate(cert))

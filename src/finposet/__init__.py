@@ -22,14 +22,12 @@ from .constructions import (
     suspension,
 )
 from .core import (
-    MonotoneMap,
     Poset,
     StructureStats,
     build_poset,
     covers,
     disjoint_union,
     induced_subposet,
-    is_initial_map,
     is_isomorphic,
     opposite,
     product,
@@ -62,6 +60,10 @@ from .errors import (
     UnknownElement,
 )
 from .family import construction_sequence, realize
+# This binds the package attribute ``core`` to the function homotopy.core,
+# which shadows the submodule finposet.core: ``import finposet.core as c``
+# gives the function.  ``from finposet.core import Poset`` still reaches the
+# module through sys.modules (see the README).
 from .homotopy import (
     BeatPointWitness,
     CoreTrace,
@@ -93,7 +95,6 @@ __all__ = [
     "FormatError",
     "InvalidEmbedding",
     "InvalidWitness",
-    "MonotoneMap",
     "OutOfRange",
     "Poset",
     "PosetError",
@@ -124,7 +125,6 @@ __all__ = [
     "hypercube",
     "induced_subposet",
     "is_contractible",
-    "is_initial_map",
     "is_isomorphic",
     "join",
     "lower_bound",

@@ -22,6 +22,7 @@ from .core import (
     Poset,
     _bits,
     _canonical_rows,
+    _down_sets,
     _relabel,
     remove_element,
     topology_census,
@@ -45,27 +46,22 @@ def _names(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
 
-def _down_sets(rows: tuple[int, ...]) -> list[int]:
-    """Every down-closed subset of a naturally labeled poset, as a bitmask."""
-    sets = [0]
-    for i, row in enumerate(rows):
-        below = row & ~(1 << i)
-        sets += [d | 1 << i for d in sets if d & below == below]
-    return sets
-
-
 def _iso_classes(n: int) -> list[Poset]:
     """One canonical representative per isomorphism class, sorted by row tuple.
 
     Grown one maximal point at a time: every poset on j+1 points has a
     maximal point x, and P - x is isomorphic to a representative R on j
     points, so the classes on j+1 points are the canonical forms of R
-    plus a new top label j above a down-closed subset of R.
+    plus a new top label j above a down-closed subset of R.  Canonical
+    forms are naturally labeled, so the down-set walk takes labels in
+    order.
     """
     level: list[tuple[int, ...]] = [()]
     for j in range(n):
         level = sorted({
-            _canonical_rows(rows + (d | 1 << j,)) for rows in level for d in _down_sets(rows)
+            _canonical_rows(rows + (d | 1 << j,))
+            for rows in level
+            for d in _down_sets(rows, range(j))
         })
     names = _names(n)
     return [Poset(names, rows) for rows in level]

@@ -17,7 +17,7 @@ canonical forms and unlabeled enumeration dedupes by them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CycleError, TooLarge, UnknownElement
@@ -172,31 +172,6 @@ class StructureStats(NamedTuple):
     linear_extension: list[str]
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A total order-preserving (= continuous) map between posets."""
-
-    source: Poset
-    target: Poset
-    assignment: dict[str, str]
-
-    def __post_init__(self) -> None:
-        for x in self.source:
-            if x not in self.assignment:
-                raise ValueError(f"assignment is not total: missing {x!r}")
-            if self.assignment[x] not in self.target:
-                raise ValueError(f"image {self.assignment[x]!r} is not in the target")
-        for x in self.source:
-            for y in self.source:
-                if self.source.leq(x, y) and not self.target.leq(
-                    self.assignment[x], self.assignment[y]
-                ):
-                    raise ValueError(f"not order preserving on ({x!r}, {y!r})")
-
-    def __call__(self, x: str) -> str:
-        return self.assignment[x]
-
-
 def build_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> Poset:
     """Build the reflexive-transitive closure of the given relation pairs.
 
@@ -337,18 +312,22 @@ def topology_census(P: Poset) -> tuple[int, int]:
     return opens, antichains
 
 
-def is_initial_map(f: MonotoneMap) -> bool:
-    """True iff x <= x' exactly when f(x) <= f(x'), for all pairs.
+def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.inf) -> list[int] | None:
+    """Every down-closed subset of the rows, as bitmasks, or None past limit.
 
-    An initial map from a poset is automatically injective, hence an
-    order embedding onto its image.
+    order must list the indices in a linear extension.  The walk adds one
+    point at a time: the down-sets of the points so far are kept, and each
+    one that holds the new point's strict down-set also yields its union
+    with the point.  The count never falls, so the walk stops as soon as
+    it passes limit, and None means the full count is above limit.
     """
-    src, tgt, a = f.source, f.target, f.assignment
-    for x in src:
-        for y in src:
-            if src.leq(x, y) != tgt.leq(a[x], a[y]):
-                return False
-    return True
+    sets = [0]
+    for i in order:
+        below = rows[i] & ~(1 << i)
+        sets += [d | 1 << i for d in sets if d & below == below]
+        if len(sets) > limit:
+            break
+    return sets if len(sets) <= limit else None
 
 
 def _relabel(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,11 +5,13 @@ specialization order embeds into the lattice of subsets of an n-set.
 Embeddings are stored as one subset mask per element; coordinate i is
 bit i, and bitstrings print coordinate 0 first.
 
-Three routes produce certified embeddings: an exhaustive width search
-(exact, pruned by coordinate and twin symmetry and by up-set capacity),
-the canonical characteristic-function embedding of width |P|, and a
-deflation replay that turns a core computation into an embedding one
-new coordinate per removed point.
+Four routes produce certified embeddings.  Two are exact and sit behind
+two_dimension, chosen by the number of up-sets: a least cover of the
+critical pairs by up-sets, and an exhaustive width search (pruned by
+coordinate and twin symmetry and by up-set capacity).  The canonical
+characteristic-function embedding has width |P|, and a deflation replay
+turns a core computation into an embedding one new coordinate per
+removed point.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import Poset, _bits, remove_element, structure_stats
+from .core import Poset, _bits, _down_sets, remove_element, structure_stats
 from .errors import (
     EmptyPoset,
     InvalidEmbedding,
@@ -33,8 +35,14 @@ from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 # enumerates sub-blocks; beyond this width the search space is hopeless
 # anyway, so refuse early.
 WIDTH_GUARD = 30
-# Default size cap for the exact width search.
+# Default size cap for the exact 2-dimension.
 SIZE_GUARD = 12
+# two_dimension solves a poset of at least COVER_MIN_SIZE points and at
+# most COVER_LIMIT up-sets as an up-set cover, any other by the width
+# search.  Below 6 points the cover's fixed set-up costs more than the
+# whole search; above about 300 up-sets the cover's time grows faster.
+COVER_MIN_SIZE = 6
+COVER_LIMIT = 250
 
 
 @dataclass(frozen=True)
@@ -124,12 +132,14 @@ def verify_embedding(E: CubeEmbedding) -> bool:
     for m in E.masks.values():
         if not isinstance(m, int) or m < 0 or m >= limit:
             return False
-    for x in P.elements:
-        mx = E.masks[x]
-        for y in P.elements:
-            my = E.masks[y]
-            if (mx | my == my) != P.leq(x, y):
-                return False
+    masks = [E.masks[x] for x in P.elements]
+    for m, row in zip(masks, P.down_rows):
+        below = 0
+        for j, other in enumerate(masks):
+            if other | m == m:
+                below |= 1 << j
+        if below != row:
+            return False
     return True
 
 
@@ -284,11 +294,131 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     return None
 
 
-def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
-    """The exact least embedding width, by searching widths upwards.
+def _search_embedding(P: Poset) -> CubeEmbedding:
+    """A least-width embedding by exists_embedding, width by width from the plan's start."""
+    for w in range(_plan(P).start, len(P) + 1):
+        E = exists_embedding(P, w)
+        if E is not None:
+            return E
+    raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
 
-    The first width tried is the search plan's start, which is at least
-    lower_bound(P).  Sizes above max_size are refused (the search is
+
+def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
+    """A least-width embedding from a least cover of P's critical pairs by up-sets.
+
+    downs must list every down-set of P; the up-sets are their
+    complements.  Coordinate k of an embedding into the w-cube picks out
+    the up-set U_k of points whose mask has bit k, and mask(x) is a subset
+    of mask(y) exactly when every U_k holding x holds y.  So P embeds at
+    width w iff w up-sets separate (hold x, miss y) every pair x not<= y
+    (Trotter's coordinate view; Habib, Nourine, Raynaud & Thierry 2004).
+
+    Only critical pairs need a separating up-set: x not<= y with the
+    strict down-set of x inside down(y) and the strict up-set of y inside
+    up(x).  Any other such pair has a z < x with z not<= y, or a v > y
+    with x not<= v, and an up-set separating that pair separates (x, y);
+    each step shrinks |down(x)| + |up(y)|, so the steps end at a critical
+    pair.  An up-set whose critical pairs another one also separates is
+    dropped.  The cover is searched by iterative deepening from the plan's
+    start: branch over the up-sets separating the uncovered pair that the
+    fewest up-sets separate, and give up on k more up-sets when k times
+    the largest cannot reach the uncovered count or when more than k
+    uncovered pairs have no separating up-set in common (a greedy
+    packing, rarest pair first).  Failed (k, uncovered) states are
+    remembered across widths.  Bit k of mask(x) is set iff x is in the k-th
+    chosen up-set; the result is verified, and InvalidEmbedding means
+    that check failed.
+    """
+    n = len(P)
+    full = (1 << n) - 1
+    down, up = P.down_rows, P.up_rows
+    strict_down = [row & ~(1 << i) for i, row in enumerate(down)]
+    # critical[x]: the y with (x, y) critical, that is y above every strict
+    # lower point of x, not above x, and strictly below nothing outside up(x)
+    critical = []
+    sources = target = 0
+    for x in range(n):
+        row = full & ~up[x]
+        for z in _bits(strict_down[x]):
+            row &= up[z]
+        for v in _bits(full & ~up[x]):
+            row &= ~strict_down[v]
+        critical.append(row)
+        if row:
+            sources |= 1 << x
+            target |= row << x * n  # pair (x, y) is bit x*n + y
+    upset_of: dict[int, int] = {}
+    for d in downs:
+        separated = 0
+        for x in _bits(sources & ~d):
+            separated |= (d & critical[x]) << x * n
+        upset_of.setdefault(separated, full & ~d)
+    kept: list[int] = []
+    for c in sorted(upset_of, key=int.bit_count, reverse=True):
+        if c and not any(c | k == k for k in kept):
+            kept.append(c)
+    largest = max((c.bit_count() for c in kept), default=0)
+    # the kept up-sets separating each pair, as a list and as a bitmask over kept
+    separating: dict[int, list[int]] = {p: [] for p in _bits(target)}
+    owners = dict.fromkeys(separating, 0)
+    for s, c in enumerate(kept):
+        for p in _bits(c):
+            separating[p].append(c)
+            owners[p] |= 1 << s
+    rarest = sorted(separating, key=lambda p: len(separating[p]))
+    failed: set[tuple[int, int]] = set()
+    chosen: list[int] = []
+
+    def apart(k: int, uncovered: int) -> int:
+        """Uncovered pairs no two of which one up-set separates, counted up to k + 1."""
+        used = count = 0
+        for p in rarest:
+            if uncovered >> p & 1 and not owners[p] & used:
+                used |= owners[p]
+                count += 1
+                if count > k:
+                    break
+        return count
+
+    def cover(k: int, uncovered: int) -> bool:
+        if uncovered == 0:
+            return True
+        if k * largest < uncovered.bit_count() or (k, uncovered) in failed:
+            return False
+        if k > 1 and apart(k, uncovered) > k:
+            failed.add((k, uncovered))
+            return False
+        pair = next(p for p in rarest if uncovered >> p & 1)
+        for c in separating[pair]:
+            chosen.append(upset_of[c])
+            if cover(k - 1, uncovered & ~c):
+                return True
+            chosen.pop()
+        failed.add((k, uncovered))
+        return False
+
+    width = _plan(P).start
+    while not cover(width, target):
+        width += 1
+    masks = {
+        e: sum(1 << k for k, U in enumerate(chosen) if U >> i & 1) for i, e in enumerate(P.elements)
+    }
+    E = CubeEmbedding(P, width, masks)
+    if not verify_embedding(E):
+        raise InvalidEmbedding("the up-set cover did not produce a valid embedding")
+    return E
+
+
+def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
+    """The exact least embedding width, with a witness at that width.
+
+    A poset of at least COVER_MIN_SIZE points with at most COVER_LIMIT
+    up-sets is solved as an up-set cover (_cover_embedding), any other by
+    the width search (exists_embedding at each width upwards).  A
+    down-set walk along the plan's linear extension, stopped once it
+    passes COVER_LIMIT, counts the up-sets.
+    Both start at the search plan's width, which is at least
+    lower_bound(P).  Sizes above max_size are refused (both backends are
     exponential); raise the cap explicitly to push further.
     """
     n = len(P)
@@ -296,11 +426,9 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
         raise EmptyPoset("the empty space has no 2-dimension")
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
-    for w in range(_plan(P).start, n + 1):
-        E = exists_embedding(P, w)
-        if E is not None:
-            return DimCertificate(w, E, True)
-    raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
+    downs = _down_sets(P.down_rows, _plan(P).order, COVER_LIMIT) if n >= COVER_MIN_SIZE else None
+    E = _search_embedding(P) if downs is None else _cover_embedding(P, downs)
+    return DimCertificate(E.width, E, True)
 
 
 def _add_beat_point(

@@ -1,17 +1,58 @@
 """Test-only reference oracles: slow, obviously correct, no shared logic.
 
 Each oracle follows its definition directly so that the package's fast
-routines can be checked against it.
+routines can be checked against it.  MonotoneMap and is_initial_map, the
+map definitions that no package routine uses, live here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import count, permutations
 from typing import Iterable
 
 from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide, enumerate_posets
 from finposet.census import CHECKS, CensusReport, CheckResult
 from finposet.dimension import WIDTH_GUARD
+
+
+@dataclass(frozen=True)
+class MonotoneMap:
+    """A total order-preserving (= continuous) map between posets."""
+
+    source: Poset
+    target: Poset
+    assignment: dict[str, str]
+
+    def __post_init__(self) -> None:
+        for x in self.source:
+            if x not in self.assignment:
+                raise ValueError(f"assignment is not total: missing {x!r}")
+            if self.assignment[x] not in self.target:
+                raise ValueError(f"image {self.assignment[x]!r} is not in the target")
+        for x in self.source:
+            for y in self.source:
+                if self.source.leq(x, y) and not self.target.leq(
+                    self.assignment[x], self.assignment[y]
+                ):
+                    raise ValueError(f"not order preserving on ({x!r}, {y!r})")
+
+    def __call__(self, x: str) -> str:
+        return self.assignment[x]
+
+
+def is_initial_map(f: MonotoneMap) -> bool:
+    """True iff x <= x' exactly when f(x) <= f(x'), for all pairs.
+
+    An initial map from a poset is automatically injective, hence an
+    order embedding onto its image.
+    """
+    src, tgt, a = f.source, f.target, f.assignment
+    for x in src:
+        for y in src:
+            if src.leq(x, y) != tgt.leq(a[x], a[y]):
+                return False
+    return True
 
 
 def exists_embedding_naive(P: Poset, width: int) -> CubeEmbedding | None:

@@ -5,7 +5,6 @@ import pytest
 
 from finposet import (
     CycleError,
-    MonotoneMap,
     Poset,
     TooLarge,
     UnknownElement,
@@ -17,7 +16,6 @@ from finposet import (
     enumerate_posets,
     hypercube,
     induced_subposet,
-    is_initial_map,
     is_isomorphic,
     opposite,
     product,
@@ -25,7 +23,8 @@ from finposet import (
     structure_stats,
     topology_census,
 )
-from oracles import is_isomorphic_brute
+from finposet.core import _bits, _down_sets
+from oracles import MonotoneMap, is_initial_map, is_isomorphic_brute
 
 
 def fence():
@@ -169,6 +168,22 @@ def test_topology_census_known_families():
         assert topology_census(hypercube(n))[0] == dedekind
     with pytest.raises(TooLarge):
         topology_census(antichain(21))
+
+
+def test_down_set_walk_counts_open_sets():
+    small = [P for n in range(6) for P in enumerate_posets(n)]
+    rng = random.Random(7)
+    larger = [random_poset(rng.randint(8, 14), rng.choice([0.15, 0.3, 0.5]), seed=s) for s in range(30)]
+    for P in small + larger:
+        order = [P.index(e) for e in structure_stats(P).linear_extension]
+        opens = topology_census(P)[0]
+        downs = _down_sets(P.down_rows, order)
+        assert len(downs) == len(set(downs)) == opens
+        assert all(P.down_rows[i] & ~d == 0 for d in downs for i in _bits(d))
+        for limit in range(max(opens - 2, 0), opens + 2):
+            walked = _down_sets(P.down_rows, order, limit)
+            assert (walked is None) == (opens > limit)
+            assert walked is None or walked == downs
 
 
 def test_monotone_map_validation():

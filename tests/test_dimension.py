@@ -22,6 +22,7 @@ from finposet import (
     contractible_embedding,
     core,
     covers,
+    disjoint_union,
     enumerate_posets,
     exists_embedding,
     extend_embedding_at_beat_point,
@@ -37,7 +38,7 @@ from finposet import (
     verify_embedding,
 )
 from finposet import dimension
-from finposet.core import remove_element
+from finposet.core import _down_sets, remove_element
 from oracles import exists_embedding_naive, two_dimension_cover
 
 
@@ -328,6 +329,63 @@ def test_cover_oracle_matches_on_random_posets_with_twins():
         assert verify_embedding(cert.witness)
 
 
+def backends_agree(P):
+    """Run both exact backends directly, whatever the up-set count; return the width."""
+    by_cover = dimension._cover_embedding(P, _down_sets(P.down_rows, dimension._plan(P).order))
+    by_search = dimension._search_embedding(P)
+    assert by_cover.poset == by_search.poset == P
+    assert by_cover.width == by_search.width
+    assert verify_embedding(by_cover) and verify_embedding(by_search)
+    return by_cover.width
+
+
+def test_backends_agree_over_unlabeled_census():
+    for n in range(1, 8):
+        for P in enumerate_posets(n, up_to_iso=True):
+            backends_agree(P)
+
+
+def test_backends_agree_on_random_posets_with_twins():
+    for P in random_posets_with_twins():
+        backends_agree(P)
+    # the search's slowest suspended 6-point poset (about 800k nodes at width 6)
+    assert backends_agree(suspension(disjoint_union(antichain(4), chain(2)))) == 7
+
+
+def test_backend_choice_by_up_set_count(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(dimension, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(dimension, "_cover_embedding", counted("_cover_embedding"))
+    monkeypatch.setattr(dimension, "_search_embedding", counted("_search_embedding"))
+    # antichains on 5, 7 and 8 points have 32, 128 and 256 up-sets
+    for P, backend in (
+        (antichain(5), "_search_embedding"),
+        (antichain(7), "_cover_embedding"),
+        (antichain(8), "_search_embedding"),
+    ):
+        calls.clear()
+        cert = two_dimension(P)
+        assert calls == [backend]
+        assert cert.value == (4 if len(P) == 5 else 5)
+        assert cert.exhausted_below and verify_embedding(cert.witness)
+    assert 5 < dimension.COVER_MIN_SIZE <= 7 and 128 <= dimension.COVER_LIMIT < 256
+
+
+def test_cover_raises_on_invalid_witness(monkeypatch):
+    monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
+    with pytest.raises(InvalidEmbedding):
+        two_dimension(antichain(6))
+
+
 def test_capacity_rule_on_suspended_antichain():
     # each of the six antichain points has two incomparable tops above it,
     # so its mask leaves at least two coordinates free
@@ -362,6 +420,13 @@ def test_structure_stats_once_per_two_dimension(monkeypatch):
 
     monkeypatch.setattr(dimension, "structure_stats", counted("structure_stats"))
     monkeypatch.setattr(dimension, "exists_embedding", counted("exists_embedding"))
+    # 608 up-sets: the width search, at widths 4, 5 and 6
+    P = disjoint_union(suspension(antichain(4)), antichain(5))
+    dimension._plan.cache_clear()
+    assert two_dimension(P, max_size=11).value == 6
+    assert calls == {"structure_stats": 1, "exists_embedding": 3}
+    # 67 up-sets: the up-set cover, which reads the same plan
+    calls.update(structure_stats=0, exists_embedding=0)
     dimension._plan.cache_clear()
     assert two_dimension(suspension(antichain(6))).value == 6
-    assert calls == {"structure_stats": 1, "exists_embedding": 4}
+    assert calls == {"structure_stats": 1, "exists_embedding": 0}

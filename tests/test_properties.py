@@ -3,7 +3,8 @@
 The deflation laws, isomorphism under relabeling and the text round trip
 run on 8-14 points, beyond the census sizes; the 2-dimension laws run on
 4-7 points (4-6 for suspension, whose exact search is on two more
-points), where the exact search stays fast.
+points), where the exact search stays fast, and the product law on
+factors of 1-4 points.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finposet import (
+    CubeEmbedding,
     build_poset,
     cone,
     contractible_embedding,
@@ -24,6 +26,7 @@ from finposet import (
     is_isomorphic,
     opposite,
     parse_poset,
+    product,
     random_poset,
     suspension,
     two_dimension,
@@ -39,7 +42,7 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 def posets(draw, min_size=8, max_size=14):
     n = draw(st.integers(min_size, max_size))
     # from forest-like through dense
-    p = draw(st.sampled_from([1.5 / n, 0.15, 0.3, 0.5]))
+    p = draw(st.sampled_from([min(1.5 / n, 1.0), 0.15, 0.3, 0.5]))
     return random_poset(n, p, seed=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -118,3 +121,13 @@ def test_suspension_adds_two(P):
 def test_dimension_monotone_under_point_removal(P):
     d = dim(P)
     assert all(dim(remove_element(P, x)) <= d for x in P.elements)
+
+
+@PROPERTY_SETTINGS
+@given(posets(min_size=1, max_size=4), posets(min_size=1, max_size=4))
+def test_product_embeds_at_summed_width(P, Q):
+    # d(P x Q) <= d(P) + d(Q): P's masks on the low coordinates, Q's above them
+    EP, EQ = two_dimension(P).witness, two_dimension(Q).witness
+    masks = {f"({p},{q})": EP.masks[p] | EQ.masks[q] << EP.width for p in P for q in Q}
+    E = CubeEmbedding(product(P, Q), EP.width + EQ.width, masks)
+    assert verify_embedding(E)

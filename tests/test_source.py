@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finposet"
+ORACLES = Path(__file__).resolve().with_name("oracles.py")
 
 
 def test_no_assert_statements():
@@ -17,3 +18,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def private_finposet_imports(source: str) -> list[str]:
+    """Underscore names (modules or members) that source imports from finposet."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "finposet":
+            parts = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for alias in node.names if alias.name.split(".")[0] == "finposet" for p in alias.name.split(".")]
+        else:
+            continue
+        found += [p for p in parts if p.startswith("_")]
+    return found
+
+
+def test_oracles_share_no_private_code():
+    # an oracle that reuses the package's internals would repeat its mistakes
+    assert private_finposet_imports("from finposet.core import Poset, _down_sets") == ["_down_sets"]
+    assert private_finposet_imports("import finposet._x") == ["_x"]
+    assert private_finposet_imports(ORACLES.read_text(encoding="utf-8")) == []
