@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .core import Poset, _bits, _down_sets, remove_element, structure_stats
 from .errors import (
@@ -40,9 +39,11 @@ SIZE_GUARD = 12
 # two_dimension solves a poset of at least COVER_MIN_SIZE points and at
 # most COVER_LIMIT up-sets as an up-set cover, any other by the width
 # search.  Below 6 points the cover's fixed set-up costs more than the
-# whole search; above about 300 up-sets the cover's time grows faster.
+# whole search.  On random posets of 9-12 points with 251-400 up-sets
+# the cover took a fifth of the search's time in total; at 401-450 the
+# two were close and above that the search won (README, Guards).
 COVER_MIN_SIZE = 6
-COVER_LIMIT = 250
+COVER_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -143,62 +144,66 @@ def verify_embedding(E: CubeEmbedding) -> bool:
     return True
 
 
-class _Plan(NamedTuple):
-    """What the width search needs of P, indexed by position in a linear extension."""
+class _Plan:
+    """What the exact backends need of P, indexed by position in a linear extension.
 
-    order: tuple[int, ...]  # element index at each position
-    covers: tuple[tuple[int, ...], ...]  # earlier positions covered by each position
-    incomparable: tuple[tuple[int, ...], ...]  # earlier positions incomparable to it
-    need: tuple[int, ...]  # free coordinates its strict up-set needs
-    twin_first: tuple[int, ...]  # first position of its twin class
-    twin_prev: tuple[int, ...]  # previous position of its twin class, or -1
-    start: int  # max(ceil(log2 |P|), max need): no smaller width can succeed
+    Both backends read order and start.  What only the width search reads
+    is built by links() on first use, so the up-set cover never pays for it.
+    """
+
+    def __init__(self, P: Poset):
+        n = len(P)
+        order = [P.index(e) for e in structure_stats(P).linear_extension]
+        pos = [0] * n
+        for t, i in enumerate(order):
+            pos[i] = t
+        # strict down- and up-sets as bit rows over positions
+        below = [0] * n
+        above = [0] * n
+        for t, i in enumerate(order):
+            for j in _bits(P.down_rows[i] & ~(1 << i)):
+                below[t] |= 1 << pos[j]
+                above[pos[j]] |= 1 << t
+        chain_above = [0] * n
+        for t in reversed(range(n)):
+            for s in _bits(below[t]):
+                chain_above[s] = max(chain_above[s], chain_above[t] + 1)
+        self.order = tuple(order)  # element index at each position
+        self.below, self.above = below, above
+        # free coordinates the strict up-set of each position needs
+        self.need = tuple([max(chain_above[t], above[t].bit_count().bit_length()) for t in range(n)])
+        # max(ceil(log2 |P|), max need): no smaller width can succeed
+        self.start = max((n - 1).bit_length(), max(self.need))
+        self._links: tuple | None = None
+
+    def links(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """Per position: the earlier positions it covers, the earlier ones
+        incomparable to it, and the first and the previous position (or -1)
+        of its twin class."""
+        if self._links is None:
+            below, above = self.below, self.above
+            covers, incomparable = [], []
+            first: dict[tuple[int, int], int] = {}
+            last: dict[tuple[int, int], int] = {}
+            twin_first, twin_prev = [], []
+            for t, row in enumerate(below):
+                lower_covers = row
+                for s in _bits(row):
+                    lower_covers &= ~below[s]
+                covers.append(tuple(_bits(lower_covers)))
+                incomparable.append(tuple(_bits(((1 << t) - 1) & ~row)))
+                key = (row, above[t])
+                twin_first.append(first.setdefault(key, t))
+                twin_prev.append(last.get(key, -1))
+                last[key] = t
+            self._links = (tuple(covers), tuple(incomparable), tuple(twin_first), tuple(twin_prev))
+        return self._links
 
 
 @lru_cache(maxsize=1)
 def _plan(P: Poset) -> _Plan:
-    """The search plan of P, built once and reused by every width tried."""
-    n = len(P)
-    order = [P.index(e) for e in structure_stats(P).linear_extension]
-    pos = [0] * n
-    for t, i in enumerate(order):
-        pos[i] = t
-    # strict down- and up-sets as bit rows over positions
-    below = [0] * n
-    above = [0] * n
-    for t, i in enumerate(order):
-        for j in _bits(P.down_rows[i] & ~(1 << i)):
-            below[t] |= 1 << pos[j]
-            above[pos[j]] |= 1 << t
-    covers, incomparable = [], []
-    for t in range(n):
-        lower_covers = below[t]
-        for s in _bits(below[t]):
-            lower_covers &= ~below[s]
-        covers.append(tuple(_bits(lower_covers)))
-        incomparable.append(tuple(_bits(((1 << t) - 1) & ~below[t])))
-    chain_above = [0] * n
-    for t in reversed(range(n)):
-        for s in _bits(below[t]):
-            chain_above[s] = max(chain_above[s], chain_above[t] + 1)
-    need = [max(chain_above[t], above[t].bit_count().bit_length()) for t in range(n)]
-    first: dict[tuple[int, int], int] = {}
-    last: dict[tuple[int, int], int] = {}
-    twin_first, twin_prev = [], []
-    for t in range(n):
-        key = (below[t], above[t])
-        twin_first.append(first.setdefault(key, t))
-        twin_prev.append(last.get(key, -1))
-        last[key] = t
-    return _Plan(
-        tuple(order),
-        tuple(covers),
-        tuple(incomparable),
-        tuple(need),
-        tuple(twin_first),
-        tuple(twin_prev),
-        max((n - 1).bit_length(), max(need)),
-    )
+    """The plan of P, built once and reused by every width tried."""
+    return _Plan(P)
 
 
 def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
@@ -241,8 +246,8 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     plan = _plan(P)
     if width < plan.start:
         return None
-    covers, incomparable, need = plan.covers, plan.incomparable, plan.need
-    twin_first, twin_prev = plan.twin_first, plan.twin_prev
+    need = plan.need
+    covers, incomparable, twin_first, twin_prev = plan.links()
     masks = [0] * n  # by position
     used_at = [0] * n  # coordinates in use when each position was placed
     taken: set[int] = set()
@@ -324,10 +329,18 @@ def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
     fewest up-sets separate, and give up on k more up-sets when k times
     the largest cannot reach the uncovered count or when more than k
     uncovered pairs have no separating up-set in common (a greedy
-    packing, rarest pair first).  Failed (k, uncovered) states are
-    remembered across widths.  Bit k of mask(x) is set iff x is in the k-th
-    chosen up-set; the result is verified, and InvalidEmbedding means
-    that check failed.
+    packing, rarest pair first).  The last up-set is not branched on:
+    it must separate every uncovered pair, so intersecting the bitmasks
+    (over kept up-sets) of the up-sets separating each uncovered pair
+    names one, or proves there is none as soon as the intersection is
+    empty.  With k >= 3, a branch is skipped when the uncovered pairs
+    its up-set separates are a subset of those of a branch that already
+    failed: what it leaves uncovered contains what that branch left,
+    which has no cover by k - 1 up-sets.  (At k = 2 the child's single
+    intersection costs less than the test.)  Failed (k, uncovered)
+    states with k >= 2 are remembered across widths.  Bit k of mask(x)
+    is set iff x is in the k-th chosen up-set; the result is verified,
+    and InvalidEmbedding means that check failed.
     """
     n = len(P)
     full = (1 << n) - 1
@@ -383,17 +396,31 @@ def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
     def cover(k: int, uncovered: int) -> bool:
         if uncovered == 0:
             return True
-        if k * largest < uncovered.bit_count() or (k, uncovered) in failed:
+        if k * largest < uncovered.bit_count():
             return False
-        if k > 1 and apart(k, uncovered) > k:
+        if k == 1:
+            # the last up-set must separate every uncovered pair at once
+            common = -1
+            for p in _bits(uncovered):
+                common &= owners[p]
+                if not common:
+                    return False
+            chosen.append(upset_of[kept[(common & -common).bit_length() - 1]])
+            return True
+        if (k, uncovered) in failed or apart(k, uncovered) > k:
             failed.add((k, uncovered))
             return False
         pair = next(p for p in rarest if uncovered >> p & 1)
+        tried: list[int] = []
         for c in separating[pair]:
+            mine = c & uncovered
+            if k > 2 and any(mine | t == t for t in tried):
+                continue
             chosen.append(upset_of[c])
             if cover(k - 1, uncovered & ~c):
                 return True
             chosen.pop()
+            tried.append(mine)
         failed.add((k, uncovered))
         return False
 

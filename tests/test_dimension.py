@@ -366,18 +366,38 @@ def test_backend_choice_by_up_set_count(monkeypatch):
 
     monkeypatch.setattr(dimension, "_cover_embedding", counted("_cover_embedding"))
     monkeypatch.setattr(dimension, "_search_embedding", counted("_search_embedding"))
-    # antichains on 5, 7 and 8 points have 32, 128 and 256 up-sets
+    # antichains on 5, 7, 8 and 9 points have 32, 128, 256 and 512 up-sets
     for P, backend in (
         (antichain(5), "_search_embedding"),
         (antichain(7), "_cover_embedding"),
-        (antichain(8), "_search_embedding"),
+        (antichain(8), "_cover_embedding"),
+        (antichain(9), "_search_embedding"),
     ):
         calls.clear()
         cert = two_dimension(P)
         assert calls == [backend]
         assert cert.value == (4 if len(P) == 5 else 5)
         assert cert.exhausted_below and verify_embedding(cert.witness)
-    assert 5 < dimension.COVER_MIN_SIZE <= 7 and 128 <= dimension.COVER_LIMIT < 256
+    assert 5 < dimension.COVER_MIN_SIZE <= 7 and 256 <= dimension.COVER_LIMIT < 512
+
+
+# seeded random posets with 268-318 up-sets: the band that moved from the
+# width search to the up-set cover when COVER_LIMIT rose from 250 to 400
+MOVED_BAND = ((12, 0.3, 0, 318), (11, 0.2, 2, 300), (12, 0.2, 6, 268))
+
+
+def test_backends_agree_on_moved_band():
+    for n, p, seed, up_sets in MOVED_BAND:
+        P = random_poset(n, p, seed)
+        assert len(_down_sets(P.down_rows, dimension._plan(P).order)) == up_sets
+        assert backends_agree(P) == 6
+
+
+def test_moved_band_routes_to_cover(monkeypatch):
+    monkeypatch.setattr(dimension, "_search_embedding", lambda P: pytest.fail("routed to the search"))
+    for n, p, seed, _ in MOVED_BAND:
+        cert = two_dimension(random_poset(n, p, seed))
+        assert cert.value == 6 and cert.exhausted_below and verify_embedding(cert.witness)
 
 
 def test_cover_raises_on_invalid_witness(monkeypatch):

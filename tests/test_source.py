@@ -1,7 +1,10 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
+
+from finposet import dimension
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finposet"
 ORACLES = Path(__file__).resolve().with_name("oracles.py")
@@ -39,3 +42,12 @@ def test_oracles_share_no_private_code():
     assert private_finposet_imports("from finposet.core import Poset, _down_sets") == ["_down_sets"]
     assert private_finposet_imports("import finposet._x") == ["_x"]
     assert private_finposet_imports(ORACLES.read_text(encoding="utf-8")) == []
+
+
+def test_readme_quotes_cover_constants():
+    # README states the selector's constants in prose; a changed constant must change the text
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"`(COVER_LIMIT|COVER_MIN_SIZE)`\s*(?:\(|=\s*)(\d+)", readme)
+    assert {name for name, _ in quoted} == {"COVER_LIMIT", "COVER_MIN_SIZE"}
+    for name, value in quoted:
+        assert int(value) == getattr(dimension, name), name
