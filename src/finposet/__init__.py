@@ -9,7 +9,6 @@ from .census import (
     CensusReport,
     CheckResult,
     census_check,
-    enumerate_posets,
     random_poset,
 )
 from .constructions import (
@@ -18,7 +17,6 @@ from .constructions import (
     cone,
     hypercube,
     join,
-    standard_poset,
     suspension,
 )
 from .core import (
@@ -26,11 +24,7 @@ from .core import (
     StructureStats,
     build_poset,
     covers,
-    disjoint_union,
-    induced_subposet,
     is_isomorphic,
-    opposite,
-    product,
     structure_stats,
     topology_census,
 )
@@ -40,7 +34,6 @@ from .dimension import (
     canonical_embedding,
     contractible_embedding,
     exists_embedding,
-    extend_embedding_at_beat_point,
     lower_bound,
     two_dimension,
     upper_bound,
@@ -83,6 +76,8 @@ from .io import (
 
 __version__ = "0.1.0"
 
+# The names the demos, the CLI and the README use, plus the exceptions and
+# the result types; every other public name is imported from its module.
 __all__ = [
     "BeatPointWitness",
     "CensusReport",
@@ -114,27 +109,20 @@ __all__ = [
     "contractible_embedding",
     "core",
     "covers",
-    "disjoint_union",
-    "enumerate_posets",
     "exists_embedding",
-    "extend_embedding_at_beat_point",
     "format_certificate",
     "format_core_trace",
     "format_embedding",
     "format_poset",
     "hypercube",
-    "induced_subposet",
     "is_contractible",
     "is_isomorphic",
     "join",
     "lower_bound",
-    "opposite",
     "parse_embedding",
     "parse_poset",
-    "product",
     "random_poset",
     "realize",
-    "standard_poset",
     "structure_stats",
     "suspension",
     "to_dot",

@@ -142,7 +142,7 @@ class CensusReport:
 
 
 def _dim(P: Poset) -> int:
-    return two_dimension(P, max_size=max(12, len(P))).value
+    return two_dimension(P, max_size=len(P)).value
 
 
 def _check_bounds(P: Poset) -> bool:

@@ -11,9 +11,10 @@ import argparse
 import sys
 
 from .census import census_check
-from .constructions import cone, standard_poset, suspension
+from .constructions import antichain, chain, cone, hypercube, suspension
 from .core import Poset, structure_stats
 from .dimension import (
+    SIZE_GUARD,
     canonical_embedding,
     contractible_embedding,
     lower_bound,
@@ -35,8 +36,8 @@ from .io import (
 )
 
 
-# `make` subcommands that take a size and build through standard_poset
-SIZED_MAKERS = ("chain", "antichain", "cube")
+# `make` subcommands that take a size, and the constructions they call
+SIZED_MAKERS = {"chain": chain, "antichain": antichain, "cube": hypercube}
 
 
 def _read_poset(path: str) -> Poset:
@@ -105,14 +106,14 @@ def _cmd_core(args: argparse.Namespace) -> int:
 
 def _cmd_make(args: argparse.Namespace) -> int:
     if args.maker in SIZED_MAKERS:
-        P = standard_poset(args.maker, args.n)
+        P = SIZED_MAKERS[args.maker](args.n)
     elif args.maker == "cone":
         P = cone(_read_poset(args.file))
     elif args.maker == "susp":
         P = suspension(_read_poset(args.file), args.folds)
     else:
         P = realize(args.family_n, args.family_m)
-        cert = two_dimension(P, max_size=max(12, len(P)))
+        cert = two_dimension(P, max_size=len(P))
         _emit(format_poset(P), args.output)
         sys.stdout.write(format_certificate(cert))
         return 0
@@ -150,13 +151,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="exact 2-dimension with certificate, or bounds if oversize")
     p.add_argument("file")
-    p.add_argument("--max-size", type=int, default=12)
+    p.add_argument("--max-size", type=int, default=SIZE_GUARD)
     p.set_defaults(fn=_cmd_dim)
 
     p = sub.add_parser("embed", help="produce an embedding by the chosen method")
     p.add_argument("file")
     p.add_argument("--method", choices=["exact", "canonical", "contractible"], default="exact")
-    p.add_argument("--max-size", type=int, default=12)
+    p.add_argument("--max-size", type=int, default=SIZE_GUARD)
     p.set_defaults(fn=_cmd_embed)
 
     p = sub.add_parser("verify", help="check an embedding file against a poset file")

@@ -1,4 +1,4 @@
-"""Ordinal sums, cones, suspensions, and a small standard-poset zoo.
+"""Ordinal sums, cones, suspensions, chains, antichains and hypercubes.
 
 The non-Hausdorff cone adds one point above everything; the
 non-Hausdorff suspension adds two incomparable points above everything.
@@ -101,16 +101,3 @@ def hypercube(n: int) -> Poset:
             sub = (sub - 1) & mask
         rows.append(row)
     return Poset(names, rows)
-
-
-def standard_poset(kind: str, n: int = 0) -> Poset:
-    """Dispatch by name: chain, antichain, hypercube (alias cube), sierpinski."""
-    if kind == "chain":
-        return chain(n)
-    if kind == "antichain":
-        return antichain(n)
-    if kind in ("hypercube", "cube"):
-        return hypercube(n)
-    if kind == "sierpinski":
-        return chain(2)
-    raise OutOfRange(f"unknown standard poset kind {kind!r}")

@@ -6,18 +6,20 @@ Embeddings are stored as one subset mask per element; coordinate i is
 bit i, and bitstrings print coordinate 0 first.
 
 Four routes produce certified embeddings.  Two are exact and sit behind
-two_dimension, chosen by the number of up-sets: a least cover of the
-critical pairs by up-sets, and an exhaustive width search (pruned by
-coordinate and twin symmetry and by up-set capacity).  The canonical
-characteristic-function embedding has width |P|, and a deflation replay
-turns a core computation into an embedding one new coordinate per
-removed point.
+two_dimension, chosen by the number of up-sets: a cover of the critical
+pairs by up-sets, and an exhaustive width search (pruned by coordinate
+and twin symmetry and by up-set capacity).  Each answers one width,
+and two_dimension's one loop asks widths upwards until one is answered.
+The canonical characteristic-function embedding has width |P|, and a
+deflation replay turns a core computation into an embedding one new
+coordinate per removed point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import Poset, _bits, _down_sets, remove_element, structure_stats
 from .errors import (
@@ -299,17 +301,24 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     return None
 
 
-def _search_embedding(P: Poset) -> CubeEmbedding:
-    """A least-width embedding by exists_embedding, width by width from the plan's start."""
-    for w in range(_plan(P).start, len(P) + 1):
-        E = exists_embedding(P, w)
+def _least_embedding(P: Poset, embed_at: Callable[[int], CubeEmbedding | None]) -> CubeEmbedding:
+    """The first embedding embed_at returns, asking each width once from the plan's start up.
+
+    No width below the start embeds P, so the first width answered is the least.
+    """
+    for width in range(_plan(P).start, len(P) + 1):
+        E = embed_at(width)
         if E is not None:
             return E
     raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
 
 
-def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
-    """A least-width embedding from a least cover of P's critical pairs by up-sets.
+def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbedding | None]:
+    """The up-set cover backend: set up once, then answer one width per call.
+
+    The returned function maps a width w to an embedding of P into the
+    w-cube built from a cover of P's critical pairs by at most w up-sets,
+    or to None when there is no such cover.
 
     downs must list every down-set of P; the up-sets are their
     complements.  Coordinate k of an embedding into the w-cube picks out
@@ -324,23 +333,24 @@ def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
     with x not<= v, and an up-set separating that pair separates (x, y);
     each step shrinks |down(x)| + |up(y)|, so the steps end at a critical
     pair.  An up-set whose critical pairs another one also separates is
-    dropped.  The cover is searched by iterative deepening from the plan's
-    start: branch over the up-sets separating the uncovered pair that the
-    fewest up-sets separate, and give up on k more up-sets when k times
-    the largest cannot reach the uncovered count or when more than k
-    uncovered pairs have no separating up-set in common (a greedy
-    packing, rarest pair first).  The last up-set is not branched on:
-    it must separate every uncovered pair, so intersecting the bitmasks
-    (over kept up-sets) of the up-sets separating each uncovered pair
-    names one, or proves there is none as soon as the intersection is
-    empty.  With k >= 3, a branch is skipped when the uncovered pairs
-    its up-set separates are a subset of those of a branch that already
-    failed: what it leaves uncovered contains what that branch left,
-    which has no cover by k - 1 up-sets.  (At k = 2 the child's single
-    intersection costs less than the test.)  Failed (k, uncovered)
-    states with k >= 2 are remembered across widths.  Bit k of mask(x)
-    is set iff x is in the k-th chosen up-set; the result is verified,
-    and InvalidEmbedding means that check failed.
+    dropped.  All this is found once; each width w then searches for a
+    cover by at most w kept up-sets: branch over the up-sets separating
+    the uncovered pair that the fewest up-sets separate, and give up on k
+    more up-sets when k times the largest cannot reach the uncovered
+    count or when more than k uncovered pairs have no separating up-set
+    in common (a greedy packing, rarest pair first).  The last up-set is
+    not branched on: it must separate every uncovered pair, so
+    intersecting the bitmasks (over kept up-sets) of the up-sets
+    separating each uncovered pair names one, or proves there is none as
+    soon as the intersection is empty.  With k >= 3, a branch is skipped
+    when the uncovered pairs its up-set separates are a subset of those
+    of a branch that already failed: what it leaves uncovered contains
+    what that branch left, which has no cover by k - 1 up-sets.  (At
+    k = 2 the child's single intersection costs less than the test.)
+    Failed (k, uncovered) states with k >= 2 are remembered across
+    widths; the chosen up-sets are not.  Bit k of mask(x) is set iff x
+    is in the k-th chosen up-set; each embedding is verified, and
+    InvalidEmbedding means that check failed.
     """
     n = len(P)
     full = (1 << n) - 1
@@ -380,7 +390,6 @@ def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
             owners[p] |= 1 << s
     rarest = sorted(separating, key=lambda p: len(separating[p]))
     failed: set[tuple[int, int]] = set()
-    chosen: list[int] = []
 
     def apart(k: int, uncovered: int) -> int:
         """Uncovered pairs no two of which one up-set separates, counted up to k + 1."""
@@ -393,60 +402,63 @@ def _cover_embedding(P: Poset, downs: list[int]) -> CubeEmbedding:
                     break
         return count
 
-    def cover(k: int, uncovered: int) -> bool:
+    def cover(k: int, uncovered: int) -> list[int] | None:
+        """At most k up-sets that together separate every uncovered pair, or None."""
         if uncovered == 0:
-            return True
+            return []
         if k * largest < uncovered.bit_count():
-            return False
+            return None
         if k == 1:
             # the last up-set must separate every uncovered pair at once
             common = -1
             for p in _bits(uncovered):
                 common &= owners[p]
                 if not common:
-                    return False
-            chosen.append(upset_of[kept[(common & -common).bit_length() - 1]])
-            return True
+                    return None
+            return [upset_of[kept[(common & -common).bit_length() - 1]]]
         if (k, uncovered) in failed or apart(k, uncovered) > k:
             failed.add((k, uncovered))
-            return False
+            return None
         pair = next(p for p in rarest if uncovered >> p & 1)
         tried: list[int] = []
         for c in separating[pair]:
             mine = c & uncovered
             if k > 2 and any(mine | t == t for t in tried):
                 continue
-            chosen.append(upset_of[c])
-            if cover(k - 1, uncovered & ~c):
-                return True
-            chosen.pop()
+            rest = cover(k - 1, uncovered & ~c)
+            if rest is not None:
+                return [upset_of[c], *rest]
             tried.append(mine)
         failed.add((k, uncovered))
-        return False
+        return None
 
-    width = _plan(P).start
-    while not cover(width, target):
-        width += 1
-    masks = {
-        e: sum(1 << k for k, U in enumerate(chosen) if U >> i & 1) for i, e in enumerate(P.elements)
-    }
-    E = CubeEmbedding(P, width, masks)
-    if not verify_embedding(E):
-        raise InvalidEmbedding("the up-set cover did not produce a valid embedding")
-    return E
+    def embed_at(width: int) -> CubeEmbedding | None:
+        chosen = cover(width, target)
+        if chosen is None:
+            return None
+        masks = {
+            e: sum(1 << k for k, U in enumerate(chosen) if U >> i & 1) for i, e in enumerate(P.elements)
+        }
+        E = CubeEmbedding(P, width, masks)
+        if not verify_embedding(E):
+            raise InvalidEmbedding("the up-set cover did not produce a valid embedding")
+        return E
+
+    return embed_at
 
 
 def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     """The exact least embedding width, with a witness at that width.
 
-    A poset of at least COVER_MIN_SIZE points with at most COVER_LIMIT
-    up-sets is solved as an up-set cover (_cover_embedding), any other by
-    the width search (exists_embedding at each width upwards).  A
-    down-set walk along the plan's linear extension, stopped once it
-    passes COVER_LIMIT, counts the up-sets.
-    Both start at the search plan's width, which is at least
-    lower_bound(P).  Sizes above max_size are refused (both backends are
-    exponential); raise the cap explicitly to push further.
+    Two exact backends each answer one width: the up-set cover
+    (_cover_embedding) for a poset of at least COVER_MIN_SIZE points with
+    at most COVER_LIMIT up-sets, the width search (exists_embedding) for
+    any other.  A down-set walk along the plan's linear extension,
+    stopped once it passes COVER_LIMIT, counts the up-sets.  One loop
+    (_least_embedding) asks the chosen backend width by width from the
+    search plan's start, which is at least lower_bound(P), and the first
+    width answered is the value.  Sizes above max_size are refused (both
+    backends are exponential); raise the cap explicitly to push further.
     """
     n = len(P)
     if n == 0:
@@ -454,7 +466,8 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
     downs = _down_sets(P.down_rows, _plan(P).order, COVER_LIMIT) if n >= COVER_MIN_SIZE else None
-    E = _search_embedding(P) if downs is None else _cover_embedding(P, downs)
+    embed_at = partial(exists_embedding, P) if downs is None else _cover_embedding(P, downs)
+    E = _least_embedding(P, embed_at)
     return DimCertificate(E.width, E, True)
 
 

@@ -61,6 +61,6 @@ def realize(n: int, m: int, guard: int = FAMILY_GUARD) -> Poset:
             return suspension(antichain(2), (n - 2) // 2)
         return suspension(antichain(3), (n - 3) // 2)
     for P in construction_sequence(n, guard=guard):
-        if two_dimension(P, max_size=max(12, n)).value == m:
+        if two_dimension(P, max_size=len(P)).value == m:
             return P
     raise AssertionError("unreachable: the sweep passes through every admissible value")

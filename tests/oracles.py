@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import count, permutations
 from typing import Iterable
 
-from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide, enumerate_posets
-from finposet.census import CHECKS, CensusReport, CheckResult
+from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide
+from finposet.census import CHECKS, CensusReport, CheckResult, enumerate_posets
 from finposet.dimension import WIDTH_GUARD
 
 

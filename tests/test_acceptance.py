@@ -17,7 +17,6 @@ from finposet import (
     chain,
     contractible_embedding,
     core,
-    enumerate_posets,
     is_contractible,
     is_isomorphic,
     realize,
@@ -26,6 +25,7 @@ from finposet import (
     two_dimension,
     verify_embedding,
 )
+from finposet.census import enumerate_posets
 from finposet.core import remove_element
 from oracles import exists_embedding_naive
 

@@ -10,11 +10,10 @@ from finposet import (
     antichain,
     census_check,
     chain,
-    enumerate_posets,
     is_isomorphic,
     random_poset,
 )
-from finposet.census import CHECKS
+from finposet.census import CHECKS, enumerate_posets
 from oracles import census_check_brute
 
 

@@ -9,17 +9,15 @@ from finposet import (
     chain,
     cone,
     covers,
-    disjoint_union,
-    enumerate_posets,
     hypercube,
     is_contractible,
     is_isomorphic,
     join,
-    product,
-    standard_poset,
     structure_stats,
     suspension,
 )
+from finposet.census import enumerate_posets
+from finposet.core import disjoint_union, product
 
 
 def example4_space():
@@ -122,13 +120,3 @@ def test_hypercube_is_sierpinski_power():
         for _ in range(n - 1):
             power = product(power, chain(2))
         assert is_isomorphic(power, hypercube(n), guard=16)
-
-
-def test_standard_poset_dispatch():
-    assert standard_poset("chain", 4) == chain(4)
-    assert standard_poset("antichain", 2) == antichain(2)
-    assert standard_poset("hypercube", 2) == hypercube(2)
-    assert standard_poset("cube", 2) == hypercube(2)
-    assert standard_poset("sierpinski") == chain(2)
-    with pytest.raises(OutOfRange):
-        standard_poset("mystery", 3)

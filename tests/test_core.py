@@ -12,18 +12,14 @@ from finposet import (
     build_poset,
     chain,
     covers,
-    disjoint_union,
-    enumerate_posets,
     hypercube,
-    induced_subposet,
     is_isomorphic,
-    opposite,
-    product,
     random_poset,
     structure_stats,
     topology_census,
 )
-from finposet.core import _bits, _down_sets
+from finposet.census import enumerate_posets
+from finposet.core import _bits, _down_sets, disjoint_union, induced_subposet, opposite, product
 from oracles import MonotoneMap, is_initial_map, is_isomorphic_brute
 
 

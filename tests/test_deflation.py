@@ -20,12 +20,12 @@ from finposet import (
     cone,
     contractible_embedding,
     core,
-    enumerate_posets,
-    extend_embedding_at_beat_point,
     random_poset,
     verify_embedding,
 )
+from finposet.census import enumerate_posets
 from finposet.core import _bits, remove_element
+from finposet.dimension import extend_embedding_at_beat_point
 
 SEEDS = (None, 0, 1, 2)
 

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 from math import comb
 
 import pytest
@@ -22,15 +23,10 @@ from finposet import (
     contractible_embedding,
     core,
     covers,
-    disjoint_union,
-    enumerate_posets,
     exists_embedding,
-    extend_embedding_at_beat_point,
     hypercube,
-    induced_subposet,
     is_contractible,
     lower_bound,
-    opposite,
     random_poset,
     suspension,
     two_dimension,
@@ -38,7 +34,9 @@ from finposet import (
     verify_embedding,
 )
 from finposet import dimension
-from finposet.core import _down_sets, remove_element
+from finposet.census import enumerate_posets
+from finposet.core import _down_sets, disjoint_union, induced_subposet, opposite, remove_element
+from finposet.dimension import extend_embedding_at_beat_point
 from oracles import exists_embedding_naive, two_dimension_cover
 
 
@@ -330,9 +328,10 @@ def test_cover_oracle_matches_on_random_posets_with_twins():
 
 
 def backends_agree(P):
-    """Run both exact backends directly, whatever the up-set count; return the width."""
-    by_cover = dimension._cover_embedding(P, _down_sets(P.down_rows, dimension._plan(P).order))
-    by_search = dimension._search_embedding(P)
+    """Run both exact backends through the width loop, whatever the up-set count; return the width."""
+    downs = _down_sets(P.down_rows, dimension._plan(P).order)
+    by_cover = dimension._least_embedding(P, dimension._cover_embedding(P, downs))
+    by_search = dimension._least_embedding(P, partial(exists_embedding, P))
     assert by_cover.poset == by_search.poset == P
     assert by_cover.width == by_search.width
     assert verify_embedding(by_cover) and verify_embedding(by_search)
@@ -365,17 +364,17 @@ def test_backend_choice_by_up_set_count(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dimension, "_cover_embedding", counted("_cover_embedding"))
-    monkeypatch.setattr(dimension, "_search_embedding", counted("_search_embedding"))
+    monkeypatch.setattr(dimension, "exists_embedding", counted("exists_embedding"))
     # antichains on 5, 7, 8 and 9 points have 32, 128, 256 and 512 up-sets
     for P, backend in (
-        (antichain(5), "_search_embedding"),
+        (antichain(5), "exists_embedding"),
         (antichain(7), "_cover_embedding"),
         (antichain(8), "_cover_embedding"),
-        (antichain(9), "_search_embedding"),
+        (antichain(9), "exists_embedding"),
     ):
         calls.clear()
         cert = two_dimension(P)
-        assert calls == [backend]
+        assert set(calls) == {backend}
         assert cert.value == (4 if len(P) == 5 else 5)
         assert cert.exhausted_below and verify_embedding(cert.witness)
     assert 5 < dimension.COVER_MIN_SIZE <= 7 and 256 <= dimension.COVER_LIMIT < 512
@@ -394,7 +393,7 @@ def test_backends_agree_on_moved_band():
 
 
 def test_moved_band_routes_to_cover(monkeypatch):
-    monkeypatch.setattr(dimension, "_search_embedding", lambda P: pytest.fail("routed to the search"))
+    monkeypatch.setattr(dimension, "exists_embedding", lambda P, w: pytest.fail("routed to the search"))
     for n, p, seed, _ in MOVED_BAND:
         cert = two_dimension(random_poset(n, p, seed))
         assert cert.value == 6 and cert.exhausted_below and verify_embedding(cert.witness)
@@ -427,26 +426,45 @@ def test_capacity_rule_bounds_mask_size():
 
 
 def test_structure_stats_once_per_two_dimension(monkeypatch):
-    calls = {"structure_stats": 0, "exists_embedding": 0}
+    # one plan per poset, and one width loop: each width from the plan's
+    # start up to the answer is asked once, in order, of the chosen backend
+    stats_calls = []
+    asked = []
+    structure_stats = dimension.structure_stats
+    search_at = dimension.exists_embedding
+    cover_embedding = dimension._cover_embedding
 
-    def counted(name):
-        original = getattr(dimension, name)
+    def counted_stats(P):
+        stats_calls.append(P)
+        return structure_stats(P)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+    def counted_search(P, width):
+        asked.append(("search", width))
+        return search_at(P, width)
 
-        return wrapper
+    def counted_cover(P, downs):
+        cover_at = cover_embedding(P, downs)
 
-    monkeypatch.setattr(dimension, "structure_stats", counted("structure_stats"))
-    monkeypatch.setattr(dimension, "exists_embedding", counted("exists_embedding"))
-    # 608 up-sets: the width search, at widths 4, 5 and 6
-    P = disjoint_union(suspension(antichain(4)), antichain(5))
-    dimension._plan.cache_clear()
-    assert two_dimension(P, max_size=11).value == 6
-    assert calls == {"structure_stats": 1, "exists_embedding": 3}
-    # 67 up-sets: the up-set cover, which reads the same plan
-    calls.update(structure_stats=0, exists_embedding=0)
-    dimension._plan.cache_clear()
-    assert two_dimension(suspension(antichain(6))).value == 6
-    assert calls == {"structure_stats": 1, "exists_embedding": 0}
+        def at(width):
+            asked.append(("cover", width))
+            return cover_at(width)
+
+        return at
+
+    monkeypatch.setattr(dimension, "structure_stats", counted_stats)
+    monkeypatch.setattr(dimension, "exists_embedding", counted_search)
+    monkeypatch.setattr(dimension, "_cover_embedding", counted_cover)
+    for P, backend in (
+        # 608 up-sets: the width search, at widths 4, 5 and 6
+        (disjoint_union(suspension(antichain(4)), antichain(5)), "search"),
+        # 67 up-sets: the up-set cover, which reads the same plan
+        (suspension(antichain(6)), "cover"),
+    ):
+        stats_calls.clear()
+        asked.clear()
+        dimension._plan.cache_clear()
+        assert two_dimension(P, max_size=len(P)).value == 6
+        assert len(stats_calls) == 1
+        start = dimension._plan(P).start
+        assert start < 6
+        assert asked == [(backend, width) for width in range(start, 7)]

@@ -12,14 +12,13 @@ from finposet import (
     cone,
     core,
     covers,
-    enumerate_posets,
     hypercube,
     is_contractible,
     is_isomorphic,
-    opposite,
     suspension,
 )
-from finposet.core import remove_element
+from finposet.census import enumerate_posets
+from finposet.core import opposite, remove_element
 
 
 def fence():

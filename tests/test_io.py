@@ -10,8 +10,6 @@ from finposet import (
     chain,
     cone,
     core,
-    disjoint_union,
-    enumerate_posets,
     format_certificate,
     format_core_trace,
     format_embedding,
@@ -19,11 +17,12 @@ from finposet import (
     hypercube,
     parse_embedding,
     parse_poset,
-    product,
     suspension,
     to_dot,
     two_dimension,
 )
+from finposet.census import enumerate_posets
+from finposet.core import disjoint_union, product
 
 
 def fence():

@@ -24,16 +24,14 @@ from finposet import (
     covers,
     format_poset,
     is_isomorphic,
-    opposite,
     parse_poset,
-    product,
     random_poset,
     suspension,
     two_dimension,
     verify_embedding,
 )
 from finposet.cli import dispatch
-from finposet.core import remove_element
+from finposet.core import opposite, product, remove_element
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
