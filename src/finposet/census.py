@@ -20,8 +20,8 @@ from typing import Callable, Iterable
 
 from .core import (
     Poset,
-    _bits,
     _canonical_rows,
+    _close_rows,
     _down_sets,
     _relabel,
     remove_element,
@@ -98,7 +98,12 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
 
 
 def random_poset(n: int, edge_prob: float = 0.5, seed: int | None = None) -> Poset:
-    """A random order on labels 0..n-1 via a shuffled DAG, then closure."""
+    """A random order on labels 0..n-1: a random DAG, closed, then shuffled.
+
+    Each pair i < j gets the edge i <= j with probability edge_prob, drawn
+    in the order (j, i) ascending; ``core._close_rows`` then closes the
+    rows and a shuffle of the labels hides the drawing order.
+    """
     if n < 0:
         raise OutOfRange("size must be >= 0")
     if not 0.0 <= edge_prob <= 1.0:
@@ -109,10 +114,7 @@ def random_poset(n: int, edge_prob: float = 0.5, seed: int | None = None) -> Pos
         for i in range(j):
             if rng.random() < edge_prob:
                 rows[j] |= 1 << i
-        acc = rows[j]
-        for i in _bits(rows[j] & ((1 << j) - 1)):
-            acc |= rows[i]
-        rows[j] = acc
+    _close_rows(rows)
     perm = list(range(n))
     rng.shuffle(perm)
     return Poset(_names(n), _relabel(tuple(rows), tuple(perm)))

@@ -121,9 +121,15 @@ def _cmd_make(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_names(text: str) -> list[str]:
+    names = [c for c in text.split(",") if c]
+    if not names:
+        raise argparse.ArgumentTypeError("lists no check")
+    return names
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
-    names = [c for c in args.check.split(",") if c]
-    report = census_check(args.size, names, up_to_iso=args.unlabeled)
+    report = census_check(args.size, args.check, up_to_iso=args.unlabeled)
     for line in report.format_lines():
         print(line)
     for result in report.results:
@@ -191,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="run property checks over a full census")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--unlabeled", action="store_true")
-    p.add_argument("--check", required=True, help="comma-separated check names")
+    p.add_argument("--check", required=True, type=_check_names, help="comma-separated check names")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("dot", help="Graphviz DOT of the cover relation")

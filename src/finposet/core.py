@@ -18,11 +18,12 @@ canonical forms and unlabeled enumeration dedupes by them.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CycleError, TooLarge, UnknownElement
 
-# Exhaustive subset enumeration in topology_census is capped here.
+# topology_census keeps every open set and antichain it counts, up to
+# 2^n of each, so its size is capped here.
 CENSUS_GUARD = 20
 # Default size guard for isomorphism tests.  The canonical form visits
 # about |Aut| leaves modulo twin swaps; at 10 points the worst family,
@@ -280,36 +281,24 @@ def remove_element(P: Poset, x: str) -> Poset:
 
 
 def topology_census(P: Poset) -> tuple[int, int]:
-    """(number of open sets, number of antichains) by direct enumeration.
+    """(number of open sets, number of antichains), each by its own walk.
 
-    Opens are the down-closed subsets.  The two counts are computed
+    Opens are the down-closed subsets, walked by ``_down_sets`` along the
+    points sorted by down-set size (a linear extension).  Antichains are
+    walked the same way: each point extends every antichain so far that
+    holds nothing comparable to it.  The two counts are computed
     independently; the antichain of maximal elements of an open set gives
     the bijection that makes them equal.
     """
     n = len(P)
     if n > CENSUS_GUARD:
         raise TooLarge(f"topology census needs |P| <= {CENSUS_GUARD}, got {n}")
-    down = P.down_rows
-    up = P.up_rows
-    opens = 0
-    antichains = 0
-    for subset in range(1 << n):
-        is_open = True
-        is_antichain = True
-        rest = subset
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            if down[i] & ~subset:
-                is_open = False
-            if (down[i] | up[i]) & subset != low:
-                is_antichain = False
-            if not (is_open or is_antichain):
-                break
-        opens += is_open
-        antichains += is_antichain
-    return opens, antichains
+    down, up = P.down_rows, P.up_rows
+    opens = len(_down_sets(down, sorted(range(n), key=lambda i: down[i].bit_count())))
+    sets = [0]
+    for i in range(n):
+        sets += [a | 1 << i for a in sets if not a & (down[i] | up[i])]
+    return opens, len(sets)
 
 
 def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.inf) -> list[int] | None:
@@ -330,7 +319,7 @@ def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.
     return sets if len(sets) <= limit else None
 
 
-def _relabel(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     """Down rows after renaming label i to perm[i]."""
     out = [0] * len(rows)
     for i, row in enumerate(rows):
@@ -419,10 +408,15 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_isomorphic(P: Poset, Q: Poset, guard: int = ISO_GUARD) -> bool:
-    """Decide order-isomorphism by comparing canonical forms."""
-    if len(P) > guard or len(Q) > guard:
+    """Decide order-isomorphism by comparing canonical forms.
+
+    Posets of different sizes are never isomorphic, whatever the guard.
+    """
+    if len(P) != len(Q):
+        return False
+    if len(P) > guard:
         raise TooLarge(f"isomorphism guard is {guard} elements")
-    return len(P) == len(Q) and _canonical_rows(P.down_rows) == _canonical_rows(Q.down_rows)
+    return _canonical_rows(P.down_rows) == _canonical_rows(Q.down_rows)
 
 
 def structure_stats(P: Poset) -> StructureStats:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Poset, _bits, induced_subposet
+from .core import Poset, _bits, _relabel, induced_subposet
 from .errors import EmptyPoset
 
 UP, DOWN = 0, 1
@@ -60,9 +60,10 @@ class _Deflation:
     """The beat-point status of every alive point of P, kept current under removals.
 
     Positions are ranks along a linear extension (sorting by down-set
-    size), and ``rows[UP]``/``rows[DOWN]`` hold the up and down rows in
-    rank coordinates.  ``witness[kind][r]`` is the rank of r's witness or
-    -1, and ``witnessed[kind][m]`` the mask of points whose witness is m.
+    size), and ``rows[UP]``/``rows[DOWN]`` hold the up and down rows
+    relabeled to rank coordinates by ``core._relabel``.
+    ``witness[kind][r]`` is the rank of r's witness or -1, and
+    ``witnessed[kind][m]`` the mask of points whose witness is m.
     ``codes`` has bit 2i set when P.elements[i] is an up beat point and
     bit 2i + 1 when it is a down beat point, so its set bits list the
     witnesses in element order, "up" before "down".
@@ -77,18 +78,10 @@ class _Deflation:
         rank = [0] * n
         for r, i in enumerate(order):
             rank[i] = r
-
-        def ranked(row: int) -> int:
-            out = 0
-            for j in _bits(row):
-                out |= 1 << rank[j]
-            return out
-
-        rows = ([ranked(up[i]) for i in order], [ranked(down[i]) for i in order])
         self.P = P
         self.order = order
         self.rank = rank
-        self.rows = rows
+        self.rows = (_relabel(up, rank), _relabel(down, rank))
         self.alive = (1 << n) - 1
         self.witness = ([-1] * n, [-1] * n)
         self.witnessed = ([0] * n, [0] * n)

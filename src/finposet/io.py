@@ -8,8 +8,9 @@ then the cover pairs, so isolated points round-trip.
 
 Embeddings are ``width N`` plus one ``NAME BITS`` line per element,
 where BITS lists coordinate 0 first; certificates prepend ``value N``
-and ``exhausted_below`` lines, which the embedding parser skips, so a
-certificate file is readable wherever an embedding is expected.
+and ``exhausted_below`` lines, which the embedding parser skips before
+the width line, so a certificate file is readable wherever an embedding
+is expected.
 """
 
 from __future__ import annotations
@@ -76,17 +77,19 @@ def format_certificate(cert: DimCertificate) -> str:
 def parse_embedding(text: str, P: Poset) -> CubeEmbedding:
     """Read an embedding (or certificate) file for the given poset.
 
+    Header lines end at the width line; every later line is a mask line,
+    so elements may be named ``value``, ``exhausted_below`` or ``width``.
     The masks are taken at face value; run verify_embedding to decide
     whether they really embed P.
     """
     width: int | None = None
     masks: dict[str, int] = {}
     for tokens in _clean_lines(text):
-        if tokens[0] in ("value", "exhausted_below"):
-            continue
-        if tokens[0] == "width" and len(tokens) == 2:
-            if width is not None:
-                raise FormatError("width declared twice")
+        if width is None:
+            if tokens[0] in ("value", "exhausted_below"):
+                continue
+            if tokens[0] != "width" or len(tokens) != 2:
+                raise FormatError("the width line must come before the mask lines")
             try:
                 width = int(tokens[1])
             except ValueError:
@@ -94,8 +97,6 @@ def parse_embedding(text: str, P: Poset) -> CubeEmbedding:
             if width < 0:
                 raise FormatError("width must be >= 0")
             continue
-        if width is None:
-            raise FormatError("the width line must come before the mask lines")
         if len(tokens) == 1 and width == 0:
             name, bits = tokens[0], ""
         elif len(tokens) == 2:

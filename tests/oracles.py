@@ -157,6 +157,22 @@ def two_dimension_cover(P: Poset) -> int:
     return next(w for w in count() if coverable(w, everything))
 
 
+def topology_census_brute(P: Poset) -> tuple[int, int]:
+    """(open sets, antichains) by testing every subset of the points.
+
+    A subset is open when it holds the down-set of each of its points,
+    and an antichain when no point in it is comparable to another.
+    """
+    n = len(P)
+    down, up = P.down_rows, P.up_rows
+    opens = antichains = 0
+    for S in range(1 << n):
+        members = [i for i in range(n) if S >> i & 1]
+        opens += all(down[i] | S == S for i in members)
+        antichains += all((down[i] | up[i]) & S == 1 << i for i in members)
+    return opens, antichains
+
+
 def census_check_brute(n: int, checks: Iterable[str]) -> CensusReport:
     """The labeled census the slow way: every check on every labeled poset.
 

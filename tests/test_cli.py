@@ -98,6 +98,19 @@ def test_embed_verify_round_trip(tmp_path, capsys):
         assert out == "valid true\n"
 
 
+@pytest.mark.parametrize("name", ["value", "exhausted_below", "width"])
+def test_header_words_as_element_names_verify(tmp_path, capsys, name):
+    poset_path = tmp_path / "named.poset"
+    poset_path.write_text(f"elem {name}\n{name} < x\n{name} < y\n")
+    for cmd in [["embed"], ["embed", "--method", "canonical"], ["dim"]]:
+        code, out, err = run(capsys, cmd[0], str(poset_path), *cmd[1:])
+        assert code == 0
+        emb_path = tmp_path / "named.emb"
+        emb_path.write_text(out)
+        code, out, err = run(capsys, "verify", str(poset_path), str(emb_path))
+        assert (code, out, err) == (0, "valid true\n", "")
+
+
 def test_verify_rejects_tampered_embedding(tmp_path, capsys):
     poset_path = write_chain(tmp_path, 3)
     code, out, err = run(capsys, "embed", poset_path)
@@ -171,6 +184,14 @@ def test_census_unknown_check(capsys):
     code, out, err = run(capsys, "census", "--size", "3", "--check", "mystery")
     assert code == 1
     assert "mystery" in err
+
+
+def test_census_empty_check_list_is_usage_error(capsys):
+    for check in ["", ","]:
+        code, out, err = run(capsys, "census", "--size", "3", "--check", check)
+        assert code == 2
+        assert out == ""
+        assert "--check" in err
 
 
 def test_census_counterexample_files(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from finposet import (
 )
 from finposet.census import enumerate_posets
 from finposet.core import _bits, _down_sets, disjoint_union, induced_subposet, opposite, product
-from oracles import MonotoneMap, is_initial_map, is_isomorphic_brute
+from oracles import MonotoneMap, is_initial_map, is_isomorphic_brute, topology_census_brute
 
 
 def fence():
@@ -172,7 +172,7 @@ def test_down_set_walk_counts_open_sets():
     larger = [random_poset(rng.randint(8, 14), rng.choice([0.15, 0.3, 0.5]), seed=s) for s in range(30)]
     for P in small + larger:
         order = [P.index(e) for e in structure_stats(P).linear_extension]
-        opens = topology_census(P)[0]
+        opens = topology_census_brute(P)[0]
         downs = _down_sets(P.down_rows, order)
         assert len(downs) == len(set(downs)) == opens
         assert all(P.down_rows[i] & ~d == 0 for d in downs for i in _bits(d))
@@ -180,6 +180,16 @@ def test_down_set_walk_counts_open_sets():
             walked = _down_sets(P.down_rows, order, limit)
             assert (walked is None) == (opens > limit)
             assert walked is None or walked == downs
+
+
+def test_topology_census_matches_brute_force():
+    classes = [P for n in range(8) for P in enumerate_posets(n, up_to_iso=True)]
+    labeled = [P for n in range(6) for P in enumerate_posets(n)]
+    rng = random.Random(11)
+    larger = [random_poset(rng.randint(8, 14), rng.choice([0.1, 0.3, 0.6]), seed=s) for s in range(12)]
+    assert len(classes) == 2451
+    for P in classes + labeled + larger:
+        assert topology_census(P) == topology_census_brute(P)
 
 
 def test_monotone_map_validation():
@@ -233,6 +243,9 @@ def test_is_isomorphic():
     assert is_isomorphic(opposite(opposite(N)), N)
     with pytest.raises(TooLarge):
         is_isomorphic(chain(11), chain(11))
+    # differing sizes decide the answer before the guard applies
+    assert not is_isomorphic(chain(11), chain(3))
+    assert not is_isomorphic(antichain(2), chain(30))
     assert is_isomorphic(chain(11), chain(11), guard=11)
 
 

@@ -122,6 +122,17 @@ def test_zero_width_embedding_round_trip():
     assert back.width == 0 and back.masks == {"x": 0}
 
 
+@pytest.mark.parametrize("name", ["value", "exhausted_below", "width"])
+def test_header_words_as_element_names_round_trip(name):
+    # after the width line every line is a mask line, header word or not
+    for P in [build_poset([name], []), build_poset([name, "x", "y"], [(name, "x"), (name, "y")])]:
+        cert = two_dimension(P)
+        for text in [format_embedding(cert.witness), format_certificate(cert)]:
+            back = parse_embedding(text, P)
+            assert back.width == cert.witness.width
+            assert back.masks == cert.witness.masks
+
+
 def test_parse_embedding_rejects_garbage():
     P = fence()
     good = format_embedding(two_dimension(P).witness)

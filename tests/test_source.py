@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import inspect
+import json
 import re
 from pathlib import Path
 
@@ -51,3 +54,20 @@ def test_readme_quotes_cover_constants():
     assert {name for name, _ in quoted} == {"COVER_LIMIT", "COVER_MIN_SIZE"}
     for name, value in quoted:
         assert int(value) == getattr(dimension, name), name
+
+
+def test_benchmark_span_metrics_name_public_functions():
+    # the traced run wraps public functions by name; a renamed one would zero its metrics
+    spec = json.loads((PACKAGE.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    aggregate = ("census.check.", "census.dim.", "io.format.", "trace.")
+    spans = {
+        tuple(m["name"].split(".")[:2])
+        for m in spec["per_layer"]
+        if not m["name"].startswith(aggregate) and m["name"].count(".") == 2
+    }
+    assert len(spans) > 10
+    for module, function in spans:
+        mod = importlib.import_module(f"finposet.{module}")
+        fn = getattr(mod, function, None)
+        assert not function.startswith("_") and inspect.isfunction(fn), f"{module}.{function}"
+        assert fn.__module__ == mod.__name__, f"{module}.{function}"
