@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 from .core import (
     Poset,
     _canonical_rows,
-    _close_rows,
+    _closure,
     _down_sets,
     _relabel,
     remove_element,
@@ -101,23 +101,21 @@ def random_poset(n: int, edge_prob: float = 0.5, seed: int | None = None) -> Pos
     """A random order on labels 0..n-1: a random DAG, closed, then shuffled.
 
     Each pair i < j gets the edge i <= j with probability edge_prob, drawn
-    in the order (j, i) ascending; ``core._close_rows`` then closes the
-    rows and a shuffle of the labels hides the drawing order.
+    in the order (j, i) ascending; ``core._closure`` then closes the
+    drawn predecessor lists and a shuffle of the labels hides the drawing
+    order.
     """
     if n < 0:
         raise OutOfRange("size must be >= 0")
     if not 0.0 <= edge_prob <= 1.0:
         raise OutOfRange("edge probability must be in [0, 1]")
     rng = random.Random(seed)
-    rows = [1 << i for i in range(n)]
-    for j in range(n):
-        for i in range(j):
-            if rng.random() < edge_prob:
-                rows[j] |= 1 << i
-    _close_rows(rows)
+    preds = [[i for i in range(j) if rng.random() < edge_prob] for j in range(n)]
+    names = _names(n)
+    rows = _closure(preds, names)
     perm = list(range(n))
     rng.shuffle(perm)
-    return Poset(_names(n), _relabel(tuple(rows), tuple(perm)))
+    return Poset(names, _relabel(rows, perm))
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,8 @@ CHECKS: dict[str, Callable[[Poset], bool]] = {
 def census_check(n: int, checks: Iterable[str], up_to_iso: bool = False) -> CensusReport:
     """Run the named property checks over every size-n poset in the census.
 
-    Unknown names raise UnknownCheck before any work starts.  Every check
+    Unknown names raise UnknownCheck before any work starts, and a name
+    given twice runs once, at its first place in the list.  Every check
     must be an isomorphism invariant: it runs once per class, on the
     canonical representative.  Unlabeled, each class counts once and a
     failing representative is a counterexample.  Labeled, a class counts
@@ -219,7 +218,7 @@ def census_check(n: int, checks: Iterable[str], up_to_iso: bool = False) -> Cens
     counterexamples are the orbits of the failing classes in sorted row
     order, as in ``enumerate_posets(n)``.
     """
-    wanted = list(checks)
+    wanted = list(dict.fromkeys(checks))
     for name in wanted:
         if name not in CHECKS:
             raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")

@@ -24,7 +24,7 @@ from .dimension import (
 )
 from .errors import FormatError, PosetError
 from .family import realize
-from .homotopy import beat_points, core
+from .homotopy import _beat_points_and_core, core
 from .io import (
     format_certificate,
     format_core_trace,
@@ -58,10 +58,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     stats = structure_stats(P)
     print(f"size {len(P)}")
     print(f"height {stats.height}")
-    low = lower_bound(P)
-    trace = core(P)
+    low = lower_bound(P, stats)
+    beats, trace = _beat_points_and_core(P)
     print(f"bounds {low}..{upper_bound(P, trace)}")
-    for w in beat_points(P):
+    for w in beats:
         print(f"beat_point {w.point} {w.kind} {w.witness}")
     print(f"contractible {'true' if trace.contractible else 'false'}")
     return 0
@@ -122,7 +122,7 @@ def _cmd_make(args: argparse.Namespace) -> int:
 
 
 def _check_names(text: str) -> list[str]:
-    names = [c for c in text.split(",") if c]
+    names = list(dict.fromkeys(c for c in text.split(",") if c))
     if not names:
         raise argparse.ArgumentTypeError("lists no check")
     return names

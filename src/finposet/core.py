@@ -17,6 +17,7 @@ canonical forms and unlabeled enumeration dedupes by them.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -39,18 +40,48 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _close_rows(rows: list[int]) -> list[int]:
-    """Transitive closure of down-set rows, in place (fixpoint iteration)."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            acc = rows[i]
-            for j in _bits(rows[i]):
-                acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
+def _closure(preds: Sequence[Sequence[int]], names: Sequence[str]) -> list[int]:
+    """Down rows of the reflexive-transitive closure of direct predecessor lists.
+
+    preds[i] lists indices j with j <= i declared (duplicates and i itself
+    are allowed); names are used only in the error message.  An iterative
+    depth-first search finishes every index after its predecessors, a
+    topological order as in Kahn ("Topological sorting of large networks",
+    1962).  A finished row is the point's own bit ORed with the finished
+    rows of its direct predecessors, so each declared pair costs one OR.
+    Meeting an index that is still on the search path closes a cycle
+    through it and the index being searched: CycleError names both, in
+    index order.
+    """
+    n = len(preds)
+    rows = [0] * n
+    state = bytearray(n)  # 0 unseen, 1 on the search path, 2 finished
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        todo = [iter(preds[root])]
+        while path:
+            for j in todo[-1]:
+                if state[j] != 2:
+                    if state[j] == 0:
+                        state[j] = 1
+                        path.append(j)
+                        todo.append(iter(preds[j]))
+                        break
+                    i = path[-1]
+                    if j != i:
+                        a, b = sorted((i, j))
+                        raise CycleError(f"cycle through {names[a]!r} and {names[b]!r}")
+            else:
+                i = path.pop()
+                todo.pop()
+                row = 1 << i
+                for j in preds[i]:
+                    row |= rows[j]
+                rows[i] = row
+                state[i] = 2
     return rows
 
 
@@ -177,26 +208,23 @@ def build_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
     """Build the reflexive-transitive closure of the given relation pairs.
 
     Each pair (x, y) declares x <= y; the pairs may be cover pairs or any
-    valid comparabilities.  Raises CycleError if the closure would violate
-    antisymmetry and UnknownElement if a pair references an undeclared id.
+    valid comparabilities.  The rows are closed in one pass along a
+    topological order (``_closure``).  Raises CycleError if the pairs
+    contain a cycle and UnknownElement if a pair references an undeclared
+    id.
     """
     ids = list(elements)
     index = {e: i for i, e in enumerate(ids)}
     if len(index) != len(ids):
         raise ValueError("duplicate element ids")
-    rows = [1 << i for i in range(len(ids))]
+    preds: list[list[int]] = [[] for _ in ids]
     for x, y in relations:
         if x not in index:
             raise UnknownElement(f"relation references undeclared element {x!r}")
         if y not in index:
             raise UnknownElement(f"relation references undeclared element {y!r}")
-        rows[index[y]] |= 1 << index[x]
-    _close_rows(rows)
-    for i in range(len(ids)):
-        for j in _bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
-                raise CycleError(f"cycle through {ids[i]!r} and {ids[j]!r}")
-    return Poset(ids, rows)
+        preds[index[y]].append(index[x])
+    return Poset(ids, _closure(preds, ids))
 
 
 def covers(P: Poset) -> list[tuple[str, str]]:
@@ -422,23 +450,36 @@ def is_isomorphic(P: Poset, Q: Poset, guard: int = ISO_GUARD) -> bool:
 def structure_stats(P: Poset) -> StructureStats:
     """Height (longest chain minus one) and a deterministic linear extension.
 
-    The extension repeatedly takes the first element, in declared order,
-    whose strict down-set is already placed.
+    The extension is the lexicographically least one: each step takes the
+    first element, in declared order, whose strict down-set is already
+    placed.  One pass finds it: every element counts its unplaced strict
+    predecessors, and a heap holds the elements whose count is zero.
+    Placing an element lowers the counts of its strict successors and
+    passes them its depth plus one, so the height falls out of the same
+    pass.
     """
     n = len(P)
-    down = P.down_rows
-    taken = 0
-    ext_idx: list[int] = []
-    while len(ext_idx) < n:
-        for i in range(n):
-            if not taken >> i & 1 and not down[i] & ~taken & ~(1 << i):
-                taken |= 1 << i
-                ext_idx.append(i)
-                break
+    succ: list[list[int]] = [[] for _ in range(n)]
+    count = [0] * n
+    ready = []
+    for i, row in enumerate(P.down_rows):
+        strict = row ^ (1 << i)
+        if strict:
+            count[i] = strict.bit_count()
+            for j in _bits(strict):
+                succ[j].append(i)
+        else:
+            ready.append(i)
     depth = [0] * n
-    for i in ext_idx:
-        for j in _bits(down[i]):
-            if j != i:
-                depth[i] = max(depth[i], depth[j] + 1)
-    height = max(depth, default=0)
-    return StructureStats(height, [P.elements[i] for i in ext_idx])
+    ext_idx: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        ext_idx.append(i)
+        d = depth[i] + 1
+        for k in succ[i]:
+            if depth[k] < d:
+                depth[k] = d
+            count[k] -= 1
+            if not count[k]:
+                heapq.heappush(ready, k)
+    return StructureStats(max(depth, default=0), [P.elements[i] for i in ext_idx])

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import Poset, _bits, _down_sets, remove_element, structure_stats
+from .core import Poset, StructureStats, _bits, _down_sets, remove_element, structure_stats
 from .errors import (
     EmptyPoset,
     InvalidEmbedding,
@@ -78,15 +78,19 @@ class DimCertificate:
     exhausted_below: bool
 
 
-def lower_bound(P: Poset) -> int:
+def lower_bound(P: Poset, stats: StructureStats | None = None) -> int:
     """max(ceil(log2 |P|), height): both are forced on any embedding width.
 
     2^width must have at least |P| points, and a chain of height h needs
-    h+1 nested distinct masks, hence at least h coordinates.
+    h+1 nested distinct masks, hence at least h coordinates.  A caller
+    that already holds structure_stats(P) passes it as stats, so that it
+    is computed only once.
     """
     if len(P) == 0:
         raise EmptyPoset("the empty space has no embedding width bounds")
-    return max((len(P) - 1).bit_length(), structure_stats(P).height)
+    if stats is None:
+        stats = structure_stats(P)
+    return max((len(P) - 1).bit_length(), stats.height)
 
 
 def upper_bound(P: Poset, trace: CoreTrace | None = None) -> int:

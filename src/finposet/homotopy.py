@@ -144,23 +144,21 @@ class _Deflation:
                 self._test(kind, s)
 
 
-def beat_points(P: Poset) -> list[BeatPointWitness]:
-    """All beat point witnesses, in element order, "up" before "down"."""
-    d = _Deflation(P)
+def _witnesses(d: _Deflation) -> list[BeatPointWitness]:
+    """The current beat point witnesses of d, in element order, "up" before "down"."""
     return [d.witness_of(code) for code in _bits(d.codes)]
 
 
-def core(P: Poset, rng: random.Random | None = None) -> CoreTrace:
-    """Deflate P by removing one beat point at a time until none remain.
+def beat_points(P: Poset) -> list[BeatPointWitness]:
+    """All beat point witnesses, in element order, "up" before "down"."""
+    return _witnesses(_Deflation(P))
 
-    With rng=None the first witness in element order is removed at each
-    step, making the trace deterministic; passing an rng picks uniformly
-    among the current witnesses instead.  Either way the final core is
-    the same space up to isomorphism.
-    """
+
+def _deflate(d: _Deflation, rng: random.Random | None) -> CoreTrace:
+    """Remove beat points from d until none remain, and record the removals."""
+    P = d.P
     if len(P) == 0:
         raise EmptyPoset("the empty space has no core")
-    d = _Deflation(P)
     removals = []
     while d.codes:
         if rng is None:
@@ -171,6 +169,24 @@ def core(P: Poset, rng: random.Random | None = None) -> CoreTrace:
         d.remove(code >> 1)
     kept = [P.elements[i] for r, i in enumerate(d.order) if d.alive >> r & 1]
     return CoreTrace(P, tuple(removals), induced_subposet(P, kept))
+
+
+def core(P: Poset, rng: random.Random | None = None) -> CoreTrace:
+    """Deflate P by removing one beat point at a time until none remain.
+
+    With rng=None the first witness in element order is removed at each
+    step, making the trace deterministic; passing an rng picks uniformly
+    among the current witnesses instead.  Either way the final core is
+    the same space up to isomorphism.
+    """
+    return _deflate(_Deflation(P), rng)
+
+
+def _beat_points_and_core(P: Poset) -> tuple[list[BeatPointWitness], CoreTrace]:
+    """beat_points(P) and core(P) from one deflation: the beat points are
+    read before the first removal."""
+    d = _Deflation(P)
+    return _witnesses(d), _deflate(d, None)
 
 
 def is_contractible(P: Poset) -> bool:

@@ -15,7 +15,7 @@ is expected.
 
 from __future__ import annotations
 
-from .core import Poset, build_poset, covers
+from .core import Poset, _closure, covers
 from .dimension import CubeEmbedding, DimCertificate
 from .errors import FormatError
 from .homotopy import CoreTrace
@@ -37,22 +37,42 @@ def _checked_name(name: str) -> str:
 
 
 def parse_poset(text: str) -> Poset:
-    """Read the line format back into a validated poset."""
-    order: dict[str, None] = {}
-    relations = []
-    for tokens in _clean_lines(text):
-        if len(tokens) == 2 and tokens[0] == "elem":
-            if tokens[1] in order:
-                raise FormatError(f"element {tokens[1]!r} declared twice")
-            order[tokens[1]] = None
-        elif len(tokens) == 3 and tokens[1] == "<":
+    """Read the line format back into a validated poset.
+
+    One pass over the lines fills an index of names and one list of
+    direct predecessors per element; ``core._closure`` then closes them
+    along a topological order, so the cost is linear in the number of
+    lines plus one OR of rows per relation line.
+    """
+    index: dict[str, int] = {}
+    preds: list[list[int]] = []
+    for raw in text.splitlines():
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) == 3 and tokens[1] == "<":
             a, _, b = tokens
-            order.setdefault(a, None)
-            order.setdefault(b, None)
-            relations.append((a, b))
+            ia = index.get(a)
+            if ia is None:
+                ia = index[a] = len(preds)
+                preds.append([])
+            ib = index.get(b)
+            if ib is None:
+                index[b] = len(preds)
+                preds.append([ia])
+            else:
+                preds[ib].append(ia)
+        elif len(tokens) == 2 and tokens[0] == "elem":
+            if tokens[1] in index:
+                raise FormatError(f"element {tokens[1]!r} declared twice")
+            index[tokens[1]] = len(preds)
+            preds.append([])
         else:
             raise FormatError(f"unparseable line: {' '.join(tokens)!r}")
-    return build_poset(order, relations)
+    names = list(index)
+    return Poset(names, _closure(preds, names))
 
 
 def format_poset(P: Poset) -> str:

@@ -9,9 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, permutations
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from finposet import CubeEmbedding, EmptyPoset, OutOfRange, Poset, TooWide
+from finposet import (
+    CubeEmbedding,
+    CycleError,
+    EmptyPoset,
+    OutOfRange,
+    Poset,
+    StructureStats,
+    TooWide,
+    UnknownElement,
+)
 from finposet.census import CHECKS, CensusReport, CheckResult, enumerate_posets
 from finposet.dimension import WIDTH_GUARD
 
@@ -53,6 +62,72 @@ def is_initial_map(f: MonotoneMap) -> bool:
             if src.leq(x, y) != tgt.leq(a[x], a[y]):
                 return False
     return True
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def close_rows_fixpoint(elements: Sequence[str], relations: Iterable[tuple[str, str]]) -> Poset:
+    """The closure of relation pairs (x, y), each meaning x <= y, by fixpoint sweeps.
+
+    Every sweep ORs into each row the rows of all the points it already
+    holds, until a sweep changes nothing; then every bit is checked for
+    antisymmetry.  A chain declared top-first needs one sweep per point.
+    """
+    ids = list(elements)
+    index = {e: i for i, e in enumerate(ids)}
+    if len(index) != len(ids):
+        raise ValueError("duplicate element ids")
+    rows = [1 << i for i in range(len(ids))]
+    for x, y in relations:
+        for e in (x, y):
+            if e not in index:
+                raise UnknownElement(f"relation references undeclared element {e!r}")
+        rows[index[y]] |= 1 << index[x]
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            acc = row
+            for j in _set_bits(row):
+                acc |= rows[j]
+            if acc != row:
+                rows[i] = acc
+                changed = True
+    for i, row in enumerate(rows):
+        for j in _set_bits(row):
+            if j != i and rows[j] >> i & 1:
+                raise CycleError(f"cycle through {ids[i]!r} and {ids[j]!r}")
+    return Poset(ids, rows)
+
+
+def structure_stats_rescan(P: Poset) -> StructureStats:
+    """Height and linear extension by rescanning from the first point after every pick.
+
+    Each step takes the first point, in declared order, not yet placed
+    and with its whole strict down-set placed.  The depth of a point is
+    one more than the largest depth strictly below it, taken along the
+    extension.
+    """
+    n = len(P)
+    down = P.down_rows
+    placed: list[int] = []
+    taken = 0
+    while len(placed) < n:
+        i = next(i for i in range(n) if not taken >> i & 1 and down[i] & ~taken == 1 << i)
+        placed.append(i)
+        taken |= 1 << i
+    depth = [0] * n
+    for i in placed:
+        depth[i] = max((depth[j] + 1 for j in _set_bits(down[i]) if j != i), default=0)
+    return StructureStats(max(depth, default=0), [P.elements[i] for i in placed])
 
 
 def exists_embedding_naive(P: Poset, width: int) -> CubeEmbedding | None:

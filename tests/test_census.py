@@ -152,6 +152,14 @@ def test_census_check_all_checks_small():
         assert r.posets == 5
 
 
+def test_census_check_runs_repeated_names_once(monkeypatch):
+    runs = []
+    monkeypatch.setitem(CHECKS, "counted", lambda P: runs.append(P) or True)
+    report = census_check(3, ["counted", "bounds", "counted"], up_to_iso=True)
+    assert [r.name for r in report.results] == ["counted", "bounds"]
+    assert len(runs) == 5
+
+
 def test_census_check_unknown_name():
     with pytest.raises(UnknownCheck):
         census_check(3, ["bounds", "mystery"])

@@ -1,7 +1,21 @@
 import pytest
 
-from finposet import chain, format_poset, parse_poset
+from finposet import (
+    antichain,
+    beat_points,
+    chain,
+    core,
+    format_poset,
+    hypercube,
+    lower_bound,
+    parse_poset,
+    structure_stats,
+    suspension,
+    upper_bound,
+)
+from finposet import cli, dimension, homotopy
 from finposet.cli import dispatch
+from finposet.core import disjoint_union
 
 
 def run(capsys, *argv):
@@ -75,6 +89,48 @@ def test_info(tmp_path, capsys):
     assert lines[2] == "bounds 2..2"
     assert "beat_point 1 up 2" in lines
     assert lines[-1] == "contractible true"
+
+
+def test_info_computes_stats_and_deflation_once(tmp_path, capsys, monkeypatch):
+    # one structure_stats and one deflation per info, with the output of
+    # the composition that computed each of them apart
+    posets = [
+        chain(7),
+        suspension(antichain(2), 30),
+        hypercube(4),
+        disjoint_union(chain(3), suspension(antichain(2))),
+    ]
+    expected = []
+    for P in posets:
+        stats = structure_stats(P)
+        trace = core(P)
+        lines = [f"size {len(P)}", f"height {stats.height}", f"bounds {lower_bound(P)}..{upper_bound(P, trace)}"]
+        lines += [f"beat_point {w.point} {w.kind} {w.witness}" for w in beat_points(P)]
+        lines.append(f"contractible {'true' if trace.contractible else 'false'}")
+        expected.append("\n".join(lines) + "\n")
+    assert [e.endswith("contractible false\n") for e in expected] == [False, True, False, True]
+
+    calls = {"stats": 0, "deflations": 0}
+
+    def counted_stats(P):
+        calls["stats"] += 1
+        return structure_stats(P)
+
+    class CountedDeflation(homotopy._Deflation):
+        def __init__(self, P):
+            calls["deflations"] += 1
+            super().__init__(P)
+
+    for module in (cli, dimension):
+        monkeypatch.setattr(module, "structure_stats", counted_stats)
+    monkeypatch.setattr(homotopy, "_Deflation", CountedDeflation)
+    for k, (P, want) in enumerate(zip(posets, expected)):
+        path = tmp_path / f"p{k}.poset"
+        path.write_text(format_poset(P))
+        calls.update(stats=0, deflations=0)
+        code, out, err = run(capsys, "info", str(path))
+        assert (code, out, err) == (0, want, "")
+        assert calls == {"stats": 1, "deflations": 1}
 
 
 def test_info_empty_file(tmp_path, capsys):
@@ -178,6 +234,16 @@ def test_census_command(capsys):
     code, out, err = run(capsys, "census", "--size", "3", "--unlabeled", "--check", "bounds")
     assert code == 0
     assert out == "CHECK bounds posets=5 counterexamples=0\n"
+
+
+def test_census_repeated_check_runs_once(capsys):
+    code, out, err = run(capsys, "census", "--size", "2", "--check", "bounds,bounds")
+    assert (code, out) == (0, "CHECK bounds posets=3 counterexamples=0\n")
+    code, out, err = run(capsys, "census", "--size", "2", "--check", "monotony,bounds,monotony")
+    assert out.splitlines() == [
+        "CHECK monotony posets=3 counterexamples=0",
+        "CHECK bounds posets=3 counterexamples=0",
+    ]
 
 
 def test_census_unknown_check(capsys):

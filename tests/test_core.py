@@ -16,11 +16,18 @@ from finposet import (
     is_isomorphic,
     random_poset,
     structure_stats,
+    suspension,
     topology_census,
 )
 from finposet.census import enumerate_posets
 from finposet.core import _bits, _down_sets, disjoint_union, induced_subposet, opposite, product
-from oracles import MonotoneMap, is_initial_map, is_isomorphic_brute, topology_census_brute
+from oracles import (
+    MonotoneMap,
+    is_initial_map,
+    is_isomorphic_brute,
+    structure_stats_rescan,
+    topology_census_brute,
+)
 
 
 def fence():
@@ -230,6 +237,19 @@ def test_structure_stats():
         for y in Q:
             if Q.lt(x, y):
                 assert pos[x] < pos[y]
+
+
+def test_structure_stats_matches_rescan_oracle():
+    # the heap pass must give the first-ready extension the rescan gives
+    posets = [P for n in range(8) for P in enumerate_posets(n, up_to_iso=True)]
+    rng = random.Random(3)
+    for seed in range(100):
+        n = rng.randint(10, 200)
+        posets.append(random_poset(n, rng.choice([0.02, 0.1, 0.3]) * 20 / n, seed=seed))
+    posets.append(suspension(antichain(2), 99))
+    assert len(posets[-1]) == 200
+    for P in posets:
+        assert structure_stats(P) == structure_stats_rescan(P)
 
 
 def test_is_isomorphic():
