@@ -1,25 +1,34 @@
 """Exhaustive and random poset generation, plus whole-census property checks.
 
 Generation works on isomorphism classes, level by level: the classes on
-j+1 points are the canonical forms of every class on j points with a new
-maximal point added above one of its down-closed subsets.  Different
-extensions often give isomorphic posets, so each level is deduplicated
-by canonical form (``core._canonical_rows``); this is not McKay's full
-canonical augmentation, which would avoid generating the duplicates.
-Labeled enumeration expands each class into its orbit, the distinct
-relabelings on 0..n-1, and census checks run once per class, counting
-labeled posets by orbit.
+j+1 points are the canonical forms of the classes on j points with a new
+maximal point added above one of their down-closed subsets.  An
+extension is skipped before its canonical form when the new top would
+not have the largest down-set among the maximal points (the argument
+that this keeps every class is in ``_iso_classes``); the extensions
+that remain still meet some classes more than once, so each level is
+deduplicated by canonical form (``core._canonical_rows``).  Labeled
+enumeration expands each class into its orbit, the distinct relabelings
+on 0..n-1, and census checks run once per class, counting labeled
+posets by orbit.
+
+Within one ``census_check`` call every 2-dimension a check asks for is
+computed once per row tuple (the value depends only on the rows) and
+kept until the call returns; a check called on its own keeps nothing.
 """
 
 from __future__ import annotations
 
 import random
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable
 
 from .core import (
     Poset,
+    _bits,
     _canonical_rows,
     _closure,
     _down_sets,
@@ -42,6 +51,27 @@ LABELED_GUARD = 6
 UNLABELED_GUARD = 8
 
 
+class _Run:
+    """What one census_check call computes once and counts.
+
+    dims maps each row tuple a check asked the 2-dimension of to its
+    value; asked counts the questions and forms the canonical forms the
+    enumeration computed.
+    """
+
+    __slots__ = ("dims", "asked", "forms")
+
+    def __init__(self) -> None:
+        self.dims: dict[tuple[int, ...], int] = {}
+        self.asked = 0
+        self.forms = 0
+
+
+# The run of the census_check in progress; None outside one, so that a
+# check called directly keeps nothing.
+_RUN: ContextVar[_Run | None] = ContextVar("census_run", default=None)
+
+
 def _names(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
@@ -49,20 +79,44 @@ def _names(n: int) -> list[str]:
 def _iso_classes(n: int) -> list[Poset]:
     """One canonical representative per isomorphism class, sorted by row tuple.
 
-    Grown one maximal point at a time: every poset on j+1 points has a
-    maximal point x, and P - x is isomorphic to a representative R on j
-    points, so the classes on j+1 points are the canonical forms of R
-    plus a new top label j above a down-closed subset of R.  Canonical
-    forms are naturally labeled, so the down-set walk takes labels in
-    order.
+    Grown one maximal point at a time: the classes on j+1 points are
+    the canonical forms of a representative R on j points plus a new top
+    label j above a down-closed subset d of R.  Canonical forms are
+    naturally labeled, so the down-set walk takes labels in order.
+
+    An extension is skipped, before its canonical form is computed, when
+    some maximal point of R outside d has a down-set of more than
+    |d| + 1 points.  Every class still appears.  Its poset P has a
+    maximal point x whose down-set is largest among the maximal points;
+    P - x is isomorphic to some R, and the isomorphism maps x's strict
+    down-set to a down-set d of R with |d| + 1 = |down(x)|.  The other
+    maximal points of R + d (R with a new top above d) are exactly the
+    maximal points of R outside d; they are the images of P's other
+    maximal points, with down-sets of the same sizes, so none has a
+    larger down-set than x and R + d is kept.
     """
+    run = _RUN.get()
     level: list[tuple[int, ...]] = [()]
     for j in range(n):
-        level = sorted({
-            _canonical_rows(rows + (d | 1 << j,))
-            for rows in level
-            for d in _down_sets(rows, range(j))
-        })
+        forms = set()
+        for rows in level:
+            below = 0
+            for i, row in enumerate(rows):
+                below |= row ^ 1 << i
+            # heavier[t]: the maximal points of R whose down-set has more than t points
+            heavier = [0] * (j + 2)
+            for i in _bits(~below & (1 << j) - 1):
+                for t in range(rows[i].bit_count()):
+                    heavier[t] |= 1 << i
+            tops = [
+                d | 1 << j
+                for d in _down_sets(rows, range(j))
+                if not heavier[d.bit_count() + 1] & ~d
+            ]
+            forms.update(_canonical_rows(rows + (top,)) for top in tops)
+            if run is not None:
+                run.forms += len(tops)
+        level = sorted(forms)
     names = _names(n)
     return [Poset(names, rows) for rows in level]
 
@@ -142,7 +196,15 @@ class CensusReport:
 
 
 def _dim(P: Poset) -> int:
-    return two_dimension(P, max_size=len(P)).value
+    run = _RUN.get()
+    if run is None:
+        return two_dimension(P, max_size=len(P)).value
+    run.asked += 1
+    rows = P.down_rows
+    d = run.dims.get(rows)
+    if d is None:
+        d = run.dims[rows] = two_dimension(P, max_size=len(P)).value
+    return d
 
 
 def _check_bounds(P: Poset) -> bool:
@@ -186,11 +248,15 @@ def _check_antichain_bijection(P: Poset) -> bool:
 
 
 def _check_core_uniqueness(P: Poset) -> bool:
-    base = core(P).core
-    form = _canonical_rows(base.down_rows)
+    base = core(P).core.down_rows
+    form = None
     for seed in (0, 1, 2):
-        other = core(P, random.Random(seed)).core
-        if len(other) != len(base) or _canonical_rows(other.down_rows) != form:
+        other = core(P, random.Random(seed)).core.down_rows
+        if other == base:
+            continue
+        if form is None:
+            form = _canonical_rows(base)
+        if len(other) != len(base) or _canonical_rows(other) != form:
             return False
     return True
 
@@ -206,7 +272,12 @@ CHECKS: dict[str, Callable[[Poset], bool]] = {
 }
 
 
-def census_check(n: int, checks: Iterable[str], up_to_iso: bool = False) -> CensusReport:
+def census_check(
+    n: int,
+    checks: Iterable[str],
+    up_to_iso: bool = False,
+    log: Callable[[str], None] | None = None,
+) -> CensusReport:
     """Run the named property checks over every size-n poset in the census.
 
     Unknown names raise UnknownCheck before any work starts, and a name
@@ -217,22 +288,41 @@ def census_check(n: int, checks: Iterable[str], up_to_iso: bool = False) -> Cens
     as its orbit (its distinct relabelings on 0..n-1), and the
     counterexamples are the orbits of the failing classes in sorted row
     order, as in ``enumerate_posets(n)``.
+
+    The 2-dimensions the checks ask for are computed once per row tuple
+    and dropped when the call returns.  With a log, one ``STATS`` line
+    is passed to it after the enumeration (classes, canonical forms
+    computed, seconds) and one after each check (seconds, classes,
+    2-dimensions computed and asked for).
     """
     wanted = list(dict.fromkeys(checks))
     for name in wanted:
         if name not in CHECKS:
             raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     _check_size(n, up_to_iso)
-    classes = enumerate_posets(n, up_to_iso=True)
-    if up_to_iso:
-        orbits = [(P.down_rows,) for P in classes]
-    else:
-        orbits = [_orbit(P.down_rows) for P in classes]
-    posets = sum(len(orbit) for orbit in orbits)
-    names = _names(n)
-    results = []
-    for name in wanted:
-        fn = CHECKS[name]
-        bad = sorted(rows for P, orbit in zip(classes, orbits) if not fn(P) for rows in orbit)
-        results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
+    run = _Run()
+    token = _RUN.set(run)
+    try:
+        start = time.perf_counter()
+        classes = enumerate_posets(n, up_to_iso=True)
+        if log is not None:
+            log(f"STATS enumerate classes={len(classes)} canonical_forms={run.forms}"
+                f" seconds={time.perf_counter() - start:.3f}")
+        if up_to_iso:
+            orbits = [(P.down_rows,) for P in classes]
+        else:
+            orbits = [_orbit(P.down_rows) for P in classes]
+        posets = sum(len(orbit) for orbit in orbits)
+        names = _names(n)
+        results = []
+        for name in wanted:
+            fn = CHECKS[name]
+            start, computed, asked = time.perf_counter(), len(run.dims), run.asked
+            bad = sorted(rows for P, orbit in zip(classes, orbits) if not fn(P) for rows in orbit)
+            results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
+            if log is not None:
+                log(f"STATS check {name} classes={len(classes)} seconds={time.perf_counter() - start:.3f}"
+                    f" dims_computed={len(run.dims) - computed} dims_asked={run.asked - asked}")
+    finally:
+        _RUN.reset(token)
     return CensusReport(n, up_to_iso, tuple(results))

@@ -129,7 +129,8 @@ def _check_names(text: str) -> list[str]:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    report = census_check(args.size, args.check, up_to_iso=args.unlabeled)
+    log = (lambda line: print(line, file=sys.stderr)) if args.stats else None
+    report = census_check(args.size, args.check, up_to_iso=args.unlabeled, log=log)
     for line in report.format_lines():
         print(line)
     for result in report.results:
@@ -198,6 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--unlabeled", action="store_true")
     p.add_argument("--check", required=True, type=_check_names, help="comma-separated check names")
+    p.add_argument("--stats", action="store_true", help="print enumeration and per-check statistics to stderr")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("dot", help="Graphviz DOT of the cover relation")

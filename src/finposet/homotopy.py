@@ -167,6 +167,8 @@ def _deflate(d: _Deflation, rng: random.Random | None) -> CoreTrace:
             code = rng.choice(list(_bits(d.codes)))
         removals.append(d.witness_of(code))
         d.remove(code >> 1)
+    if not removals:
+        return CoreTrace(P, (), P)
     kept = [P.elements[i] for r, i in enumerate(d.order) if d.alive >> r & 1]
     return CoreTrace(P, tuple(removals), induced_subposet(P, kept))
 

@@ -13,7 +13,9 @@ from finposet import (
     is_isomorphic,
     random_poset,
 )
+from finposet import census
 from finposet.census import CHECKS, enumerate_posets
+from finposet.core import _canonical_rows
 from oracles import census_check_brute
 
 
@@ -58,7 +60,12 @@ UNLABELED_DIGESTS = {
     5: "dd2e13095096a755a44d8f2ef9c795471b5eb68c24405c8893fae615939f64f7",
     6: "0f53e858bc4af9ce9d3856388bb20b630c9ca29058c33e560f3e36125a0991d9",
     7: "87f2b88c9cc77b6ea63d92e81ffa97bf0f8aa0c0abd274dff1e11a970119372e",
+    8: "6bec985b29966027a69ac77fe1bea79c35593a3dfb5948b5d44136b22278da1d",
 }
+
+
+def digest(reps):
+    return hashlib.sha256(repr([P.down_rows for P in reps]).encode()).hexdigest()
 
 
 def test_unlabeled_counts():
@@ -72,9 +79,8 @@ def test_unlabeled_counts():
         318,
         2045,
     ]
-    for n, digest in UNLABELED_DIGESTS.items():
-        rows = repr([P.down_rows for P in reps[n]]).encode()
-        assert hashlib.sha256(rows).hexdigest() == digest
+    for n in range(1, 8):
+        assert digest(reps[n]) == UNLABELED_DIGESTS[n]
 
 
 def test_enumerated_posets_are_valid():
@@ -116,7 +122,23 @@ def test_enumeration_guards():
 
 def test_unlabeled_count_8():
     # OEIS A000112
-    assert len(enumerate_posets(8, up_to_iso=True)) == 16999
+    reps = enumerate_posets(8, up_to_iso=True)
+    assert len(reps) == 16999
+    assert digest(reps) == UNLABELED_DIGESTS[8]
+
+
+def counting(monkeypatch, name, fn):
+    """Replace census.<name> by fn wrapped in a call counter."""
+    calls = []
+    monkeypatch.setattr(census, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
+    return calls
+
+
+def test_enumeration_skips_tops_that_are_not_heaviest(monkeypatch):
+    # without the top filter, the classes of 1-7 points took 6,378 canonical forms
+    calls = counting(monkeypatch, "_canonical_rows", _canonical_rows)
+    census._iso_classes(7)
+    assert len(calls) == 3569
 
 
 def test_random_poset():
@@ -205,3 +227,35 @@ def test_census_check_edge_and_scale():
             census_check(0, ["bounds"], up_to_iso=up_to_iso)
     report = census_check(6, ["antichain-bijection"])
     assert report.format_lines() == ["CHECK antichain-bijection posets=130023 counterexamples=0"]
+
+
+def test_census_check_computes_each_dimension_once(monkeypatch):
+    calls = counting(monkeypatch, "two_dimension", census.two_dimension)
+    for name, distinct, asked in (("monotony", 534, 2226), ("beat-continuity", 488, 1766)):
+        for _ in range(2):  # nothing computed in the first run is kept for the second
+            calls.clear()
+            lines = []
+            report = census_check(6, [name], up_to_iso=True, log=lines.append)
+            assert len(calls) == distinct
+            assert report.format_lines() == [f"CHECK {name} posets=318 counterexamples=0"]
+            enum, check = lines
+            assert enum.startswith("STATS enumerate classes=318 canonical_forms=583 seconds=")
+            assert check.startswith(f"STATS check {name} classes=318 seconds=")
+            assert check.endswith(f" dims_computed={distinct} dims_asked={asked}")
+    assert census._RUN.get() is None
+
+
+def test_check_called_directly_keeps_nothing(monkeypatch):
+    calls = counting(monkeypatch, "two_dimension", census.two_dimension)
+    P = enumerate_posets(5, up_to_iso=True)[-1]
+    assert CHECKS["monotony"](P) and CHECKS["monotony"](P)
+    assert len(calls) == 2 * (1 + len(P))
+    assert census._RUN.get() is None
+
+
+def test_core_uniqueness_compares_rows_first(monkeypatch):
+    # only one of the 954 seeded cores of the 6-point classes has other rows
+    classes = enumerate_posets(6, up_to_iso=True)
+    calls = counting(monkeypatch, "_canonical_rows", _canonical_rows)
+    assert all(CHECKS["core-uniqueness"](P) for P in classes)
+    assert len(calls) == 2

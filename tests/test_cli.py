@@ -246,6 +246,20 @@ def test_census_repeated_check_runs_once(capsys):
     ]
 
 
+def test_census_stats_go_to_stderr(capsys):
+    argv = ["census", "--size", "4", "--unlabeled", "--check", "monotony,bounds"]
+    code, plain, err = run(capsys, *argv)
+    assert err == ""
+    code, out, err = run(capsys, *argv, "--stats")
+    assert (code, out) == (0, plain)
+    enum, monotony, bounds = err.splitlines()
+    assert enum.startswith("STATS enumerate classes=16 canonical_forms=30 seconds=")
+    assert monotony.startswith("STATS check monotony classes=16 seconds=")
+    assert monotony.endswith(" dims_computed=23 dims_asked=80")
+    # bounds asks only for the 16 classes, whose values monotony computed
+    assert bounds.endswith(" dims_computed=0 dims_asked=16")
+
+
 def test_census_unknown_check(capsys):
     code, out, err = run(capsys, "census", "--size", "3", "--check", "mystery")
     assert code == 1

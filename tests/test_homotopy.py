@@ -17,6 +17,7 @@ from finposet import (
     is_isomorphic,
     suspension,
 )
+from finposet import homotopy
 from finposet.census import enumerate_posets
 from finposet.core import opposite, remove_element
 
@@ -95,6 +96,16 @@ def test_minimal_spaces_are_their_own_core():
     assert t.removals == ()
     assert t.core == S
     assert not is_contractible(S)
+
+
+def test_own_core_is_not_rebuilt(monkeypatch):
+    def rebuild(P, S):
+        raise AssertionError("a core with no removal was rebuilt")
+
+    monkeypatch.setattr(homotopy, "induced_subposet", rebuild)
+    S = suspension(antichain(3))
+    assert core(S).core == S
+    assert core(S, random.Random(0)).core == S
 
 
 def test_contractibility():
