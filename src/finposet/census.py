@@ -38,14 +38,14 @@ from .core import (
 )
 from .constructions import suspension
 from .dimension import (
-    contractible_embedding,
+    _replay_deflation,
     lower_bound,
     two_dimension,
     upper_bound,
     verify_embedding,
 )
 from .errors import OutOfRange, TooLarge, UnknownCheck
-from .homotopy import beat_points, core, is_contractible
+from .homotopy import beat_points, core
 
 LABELED_GUARD = 6
 UNLABELED_GUARD = 8
@@ -221,9 +221,10 @@ def _check_beat_continuity(P: Poset) -> bool:
 
 
 def _check_contractible_bound(P: Poset) -> bool:
-    if not is_contractible(P):
+    trace = core(P)
+    if not trace.contractible:
         return True
-    E = contractible_embedding(P)
+    E = _replay_deflation(trace)
     return (
         E.width == max(len(P) - 1, 0)
         and verify_embedding(E)

@@ -105,6 +105,7 @@ def _cmd_core(args: argparse.Namespace) -> int:
 
 
 def _cmd_make(args: argparse.Namespace) -> int:
+    cert = None
     if args.maker in SIZED_MAKERS:
         P = SIZED_MAKERS[args.maker](args.n)
     elif args.maker == "cone":
@@ -114,10 +115,9 @@ def _cmd_make(args: argparse.Namespace) -> int:
     else:
         P = realize(args.family_n, args.family_m)
         cert = two_dimension(P, max_size=len(P))
-        _emit(format_poset(P), args.output)
-        sys.stdout.write(format_certificate(cert))
-        return 0
     _emit(format_poset(P), args.output)
+    if cert is not None:
+        sys.stdout.write(format_certificate(cert))
     return 0
 
 
@@ -217,10 +217,7 @@ def dispatch(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PosetError as e:

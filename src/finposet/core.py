@@ -151,12 +151,8 @@ class Poset:
     @property
     def up_rows(self) -> tuple[int, ...]:
         if self._up is None:
-            n = len(self.elements)
-            up = [0] * n
-            for i, row in enumerate(self._down):
-                for j in _bits(row):
-                    up[j] |= 1 << i
-            self._up = tuple(up)
+            above = _ranked(self._down, range(len(self._down)))[2]
+            self._up = tuple(row | 1 << i for i, row in enumerate(above))
         return self._up
 
     # -- derived element sets --------------------------------------------
@@ -228,17 +224,13 @@ def build_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
 
 
 def covers(P: Poset) -> list[tuple[str, str]]:
-    """The transitive reduction: pairs (x, y) with x < y and nothing between."""
-    out = []
-    down = P.down_rows
-    up = P.up_rows
-    for xi in range(len(P)):
-        for yi in _bits(up[xi]):
-            if yi == xi:
-                continue
-            if down[yi] & up[xi] == (1 << xi) | (1 << yi):
-                out.append((P.elements[xi], P.elements[yi]))
-    return out
+    """The transitive reduction: pairs (x, y), x < y with nothing between, by
+    index of x then y; ``_lower_covers`` finds them without P's up rows."""
+    down, names = P.down_rows, P.elements
+    order = sorted(range(len(P)), key=lambda i: down[i].bit_count())
+    lower = _lower_covers(_ranked(down, order)[1])
+    pairs = sorted((order[s], order[t]) for t, row in enumerate(lower) for s in _bits(row))
+    return [(names[x], names[y]) for x, y in pairs]
 
 
 def opposite(P: Poset) -> Poset:
@@ -345,6 +337,38 @@ def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.
         if len(sets) > limit:
             break
     return sets if len(sets) <= limit else None
+
+
+def _ranked(rows: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Down rows relabeled to positions in order (a permutation, usually a linear
+    extension), in one walk over the comparable pairs: rank[i] is the position of
+    index i, and below[t] and above[t] the strict down- and up-sets at position t."""
+    n = len(order)
+    rank = sorted(range(n), key=order.__getitem__)  # the inverse permutation of order
+    below, above = [0] * n, [0] * n
+    for t, i in enumerate(order):
+        bit = 1 << t
+        row = 0
+        for j in _bits(rows[i] ^ (1 << i)):
+            s = rank[j]
+            row |= 1 << s
+            above[s] |= bit
+        below[t] = row
+    return rank, below, above
+
+
+def _lower_covers(below: Sequence[int]) -> list[int]:
+    """Lower covers from strict down rows over a linear extension: the highest
+    position left in a row is a cover, and each step drops it and all below it."""
+    out = []
+    for row in below:
+        lower = 0
+        while row:
+            s = row.bit_length() - 1
+            lower |= 1 << s
+            row &= ~(below[s] | 1 << s)
+        out.append(lower)
+    return out
 
 
 def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:

@@ -21,7 +21,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import Poset, StructureStats, _bits, _down_sets, remove_element, structure_stats
+from .core import (
+    Poset, StructureStats, _bits, _down_sets, _lower_covers, _ranked, remove_element, structure_stats
+)
 from .errors import (
     EmptyPoset,
     InvalidEmbedding,
@@ -112,18 +114,11 @@ def canonical_embedding(P: Poset) -> CubeEmbedding:
     """The width-|P| embedding by complemented minimal open sets.
 
     Coordinate i tracks membership in the complement of the minimal open
-    set of elements[i]: bit i of mask(y) is set iff not y <= elements[i].
+    set of elements[i]: bit i of mask(y) is set iff not y <= elements[i],
+    so mask(y) is the complement of the up row of y.
     """
-    n = len(P)
-    down = P.down_rows
-    masks = {}
-    for yi, y in enumerate(P.elements):
-        m = 0
-        for xi in range(n):
-            if not down[xi] >> yi & 1:
-                m |= 1 << xi
-        masks[y] = m
-    return CubeEmbedding(P, n, masks)
+    full = (1 << len(P)) - 1
+    return CubeEmbedding(P, len(P), {y: full & ~row for y, row in zip(P.elements, P.up_rows)})
 
 
 def verify_embedding(E: CubeEmbedding) -> bool:
@@ -151,7 +146,7 @@ def verify_embedding(E: CubeEmbedding) -> bool:
 
 
 class _Plan:
-    """What the exact backends need of P, indexed by position in a linear extension.
+    """What the exact backends need of P, ranked along a linear extension by ``core._ranked``.
 
     Both backends read order and start.  What only the width search reads
     is built by links() on first use, so the up-set cover never pays for it.
@@ -160,16 +155,7 @@ class _Plan:
     def __init__(self, P: Poset):
         n = len(P)
         order = [P.index(e) for e in structure_stats(P).linear_extension]
-        pos = [0] * n
-        for t, i in enumerate(order):
-            pos[i] = t
-        # strict down- and up-sets as bit rows over positions
-        below = [0] * n
-        above = [0] * n
-        for t, i in enumerate(order):
-            for j in _bits(P.down_rows[i] & ~(1 << i)):
-                below[t] |= 1 << pos[j]
-                above[pos[j]] |= 1 << t
+        _, below, above = _ranked(P.down_rows, order)  # strict rows over positions
         chain_above = [0] * n
         for t in reversed(range(n)):
             for s in _bits(below[t]):
@@ -183,26 +169,22 @@ class _Plan:
         self._links: tuple | None = None
 
     def links(self) -> tuple[tuple, tuple, tuple, tuple]:
-        """Per position: the earlier positions it covers, the earlier ones
-        incomparable to it, and the first and the previous position (or -1)
-        of its twin class."""
+        """Per position: the earlier positions it covers (``core._lower_covers``,
+        as for ``covers``), the earlier ones incomparable to it, and the
+        first and the previous position (or -1) of its twin class."""
         if self._links is None:
             below, above = self.below, self.above
-            covers, incomparable = [], []
+            covers = tuple(tuple(_bits(lower)) for lower in _lower_covers(below))
+            incomparable = tuple(tuple(_bits(((1 << t) - 1) & ~row)) for t, row in enumerate(below))
             first: dict[tuple[int, int], int] = {}
             last: dict[tuple[int, int], int] = {}
             twin_first, twin_prev = [], []
             for t, row in enumerate(below):
-                lower_covers = row
-                for s in _bits(row):
-                    lower_covers &= ~below[s]
-                covers.append(tuple(_bits(lower_covers)))
-                incomparable.append(tuple(_bits(((1 << t) - 1) & ~row)))
                 key = (row, above[t])
                 twin_first.append(first.setdefault(key, t))
                 twin_prev.append(last.get(key, -1))
                 last[key] = t
-            self._links = (tuple(covers), tuple(incomparable), tuple(twin_first), tuple(twin_prev))
+            self._links = (covers, incomparable, tuple(twin_first), tuple(twin_prev))
         return self._links
 
 
@@ -385,14 +367,12 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
         if c and not any(c | k == k for k in kept):
             kept.append(c)
     largest = max((c.bit_count() for c in kept), default=0)
-    # the kept up-sets separating each pair, as a list and as a bitmask over kept
-    separating: dict[int, list[int]] = {p: [] for p in _bits(target)}
-    owners = dict.fromkeys(separating, 0)
+    # owners[p]: the kept up-sets separating pair p, as a bitmask over kept
+    owners = dict.fromkeys(_bits(target), 0)
     for s, c in enumerate(kept):
         for p in _bits(c):
-            separating[p].append(c)
             owners[p] |= 1 << s
-    rarest = sorted(separating, key=lambda p: len(separating[p]))
+    rarest = sorted(owners, key=lambda p: owners[p].bit_count())
     failed: set[tuple[int, int]] = set()
 
     def apart(k: int, uncovered: int) -> int:
@@ -425,7 +405,8 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
             return None
         pair = next(p for p in rarest if uncovered >> p & 1)
         tried: list[int] = []
-        for c in separating[pair]:
+        for s in _bits(owners[pair]):
+            c = kept[s]
             mine = c & uncovered
             if k > 2 and any(mine | t == t for t in tried):
                 continue
@@ -533,16 +514,18 @@ def contractible_embedding(P: Poset) -> CubeEmbedding:
     replay grows one mask dict over alive masks on P's rows, and the
     result is verified once; InvalidEmbedding means that check failed.
     """
-    trace = core(P)
-    base = trace.core
+    return _replay_deflation(core(P))
+
+
+def _replay_deflation(trace: CoreTrace) -> CubeEmbedding:
+    """contractible_embedding(trace.start), replaying a deflation already computed."""
+    P, base = trace.start, trace.core
     if len(base) == 1:
         width, masks = 0, {base.elements[0]: 0}
     else:
         E = two_dimension(base).witness
         width, masks = E.width, dict(E.masks)
-    alive = 0
-    for x in base.elements:
-        alive |= 1 << P.index(x)
+    alive = sum(1 << P.index(x) for x in base.elements)
     for w in reversed(trace.removals):
         _add_beat_point(P, alive, w, masks, width)
         width += 1

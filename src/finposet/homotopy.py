@@ -5,16 +5,17 @@ A point is removable up to homotopy when its strict up-set has a minimum
 point).  Removing beat points one at a time until none remain yields the
 core; a space is contractible exactly when its core is a single point.
 
-The deflation runs once, over an alive mask on P's own rows, keeping
-every point's beat status current.  Bits are ranked along one linear
+The deflation runs once, over an alive mask on P's rows, keeping every
+point's beat status current.  Bits are ranked along one linear
 extension, so a set's only candidate minimum is its lowest bit and its
 only candidate maximum its highest: each status test is a constant
 number of big-int operations on n-bit rows.  A removal re-tests only the
 comparable points whose status it can change (those without a witness
-on that side, and those it was the witness of).  Set-up costs one pass
-over the comparable pairs.  On a shared 2-vCPU VM ``core(chain(800))``
-takes about 0.35 s (0.43 s when the chain is declared in a shuffled
-order); rebuilding the poset after every removal took 107 s.
+on that side, and those it was the witness of).  Set-up is one
+relabel-and-transpose pass over the comparable pairs (``core._ranked``).
+On a shared 2-vCPU VM ``core(chain(800))`` takes about 0.09 s (0.11 s
+when declared in a shuffled order); rebuilding the poset after every
+removal took 107 s.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Poset, _bits, _relabel, induced_subposet
+from .core import Poset, _bits, _ranked, induced_subposet
 from .errors import EmptyPoset
 
 UP, DOWN = 0, 1
@@ -60,8 +61,8 @@ class _Deflation:
     """The beat-point status of every alive point of P, kept current under removals.
 
     Positions are ranks along a linear extension (sorting by down-set
-    size), and ``rows[UP]``/``rows[DOWN]`` hold the up and down rows
-    relabeled to rank coordinates by ``core._relabel``.
+    size), and ``rows[UP]``/``rows[DOWN]`` hold the strict up and down
+    rows over ranks, both from one pass of ``core._ranked``.
     ``witness[kind][r]`` is the rank of r's witness or -1, and
     ``witnessed[kind][m]`` the mask of points whose witness is m.
     ``codes`` has bit 2i set when P.elements[i] is an up beat point and
@@ -73,15 +74,11 @@ class _Deflation:
 
     def __init__(self, P: Poset):
         n = len(P)
-        down, up = P.down_rows, P.up_rows
-        order = sorted(range(n), key=lambda i: down[i].bit_count())
-        rank = [0] * n
-        for r, i in enumerate(order):
-            rank[i] = r
+        down = P.down_rows
         self.P = P
-        self.order = order
-        self.rank = rank
-        self.rows = (_relabel(up, rank), _relabel(down, rank))
+        self.order = sorted(range(n), key=lambda i: down[i].bit_count())
+        self.rank, below, above = _ranked(down, self.order)
+        self.rows = (above, below)
         self.alive = (1 << n) - 1
         self.witness = ([-1] * n, [-1] * n)
         self.witnessed = ([0] * n, [0] * n)
@@ -94,11 +91,11 @@ class _Deflation:
     def _test(self, kind: int, r: int) -> None:
         """Recompute the kind status of the alive point r."""
         row = self.rows[kind]
-        strict = (row[r] & self.alive) ^ (1 << r)
+        strict = row[r] & self.alive
         w = -1
         if strict:
             m = (strict & -strict).bit_length() - 1 if kind == UP else strict.bit_length() - 1
-            if not strict & ~row[m]:
+            if strict & ~row[m] == 1 << m:
                 w = m
         self._set(kind, r, w)
 
@@ -117,6 +114,10 @@ class _Deflation:
         if (old < 0) != (w < 0):
             self.beaten[kind] ^= bit
             self.codes ^= 1 << (2 * self.order[r] + kind)
+
+    def witnesses(self) -> list[BeatPointWitness]:
+        """The current beat point witnesses, in element order, "up" before "down"."""
+        return [self.witness_of(code) for code in _bits(self.codes)]
 
     def witness_of(self, code: int) -> BeatPointWitness:
         """The witness that bit code of ``codes`` stands for."""
@@ -144,14 +145,9 @@ class _Deflation:
                 self._test(kind, s)
 
 
-def _witnesses(d: _Deflation) -> list[BeatPointWitness]:
-    """The current beat point witnesses of d, in element order, "up" before "down"."""
-    return [d.witness_of(code) for code in _bits(d.codes)]
-
-
 def beat_points(P: Poset) -> list[BeatPointWitness]:
     """All beat point witnesses, in element order, "up" before "down"."""
-    return _witnesses(_Deflation(P))
+    return _Deflation(P).witnesses()
 
 
 def _deflate(d: _Deflation, rng: random.Random | None) -> CoreTrace:
@@ -188,7 +184,7 @@ def _beat_points_and_core(P: Poset) -> tuple[list[BeatPointWitness], CoreTrace]:
     """beat_points(P) and core(P) from one deflation: the beat points are
     read before the first removal."""
     d = _Deflation(P)
-    return _witnesses(d), _deflate(d, None)
+    return d.witnesses(), _deflate(d, None)
 
 
 def is_contractible(P: Poset) -> bool:

@@ -15,19 +15,21 @@ is expected.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .core import Poset, _closure, covers
 from .dimension import CubeEmbedding, DimCertificate
 from .errors import FormatError
 from .homotopy import CoreTrace
 
 
-def _clean_lines(text: str) -> list[list[str]]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
+def _tokens(text: str) -> Iterator[list[str]]:
+    """The words of each non-blank line, comment cut off.  Splitting and filtering
+    run in C (map, filter); only a text holding ``#`` pays a Python pass."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw[: raw.index("#")] if "#" in raw else raw for raw in lines]
+    return filter(None, map(str.split, lines))
 
 
 def _checked_name(name: str) -> str:
@@ -46,12 +48,7 @@ def parse_poset(text: str) -> Poset:
     """
     index: dict[str, int] = {}
     preds: list[list[int]] = []
-    for raw in text.splitlines():
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        tokens = raw.split()
-        if not tokens:
-            continue
+    for tokens in _tokens(text):
         if len(tokens) == 3 and tokens[1] == "<":
             a, _, b = tokens
             ia = index.get(a)
@@ -104,7 +101,7 @@ def parse_embedding(text: str, P: Poset) -> CubeEmbedding:
     """
     width: int | None = None
     masks: dict[str, int] = {}
-    for tokens in _clean_lines(text):
+    for tokens in _tokens(text):
         if width is None:
             if tokens[0] in ("value", "exhausted_below"):
                 continue

@@ -232,6 +232,14 @@ def two_dimension_cover(P: Poset) -> int:
     return next(w for w in count() if coverable(w, everything))
 
 
+def covers_brute(P: Poset) -> list[tuple[str, str]]:
+    """Pairs (x, y) with x < y and no z strictly between, by element order of x, then y."""
+    elements = list(P)
+    above = {x: P.up_set(x) - {x} for x in elements}
+    below = {y: P.down_set(y) - {y} for y in elements}
+    return [(x, y) for x in elements for y in elements if y in above[x] and above[x].isdisjoint(below[y])]
+
+
 def topology_census_brute(P: Poset) -> tuple[int, int]:
     """(open sets, antichains) by testing every subset of the points.
 

@@ -13,7 +13,7 @@ from finposet import (
     is_isomorphic,
     random_poset,
 )
-from finposet import census
+from finposet import census, homotopy
 from finposet.census import CHECKS, enumerate_posets
 from finposet.core import _canonical_rows
 from oracles import census_check_brute
@@ -139,6 +139,20 @@ def test_enumeration_skips_tops_that_are_not_heaviest(monkeypatch):
     calls = counting(monkeypatch, "_canonical_rows", _canonical_rows)
     census._iso_classes(7)
     assert len(calls) == 3569
+
+
+def test_contractible_bound_deflates_each_class_once(monkeypatch):
+    built = []
+
+    class Counted(homotopy._Deflation):
+        def __init__(self, P):
+            built.append(P)
+            super().__init__(P)
+
+    monkeypatch.setattr(homotopy, "_Deflation", Counted)
+    classes = enumerate_posets(6, up_to_iso=True)
+    assert all(CHECKS["contractible-bound"](P) for P in classes)
+    assert len(built) == len(classes) == 318
 
 
 def test_random_poset():

@@ -23,6 +23,7 @@ from finposet.census import enumerate_posets
 from finposet.core import _bits, _down_sets, disjoint_union, induced_subposet, opposite, product
 from oracles import (
     MonotoneMap,
+    covers_brute,
     is_initial_map,
     is_isomorphic_brute,
     structure_stats_rescan,
@@ -80,6 +81,18 @@ def test_covers_is_transitive_reduction():
     assert build_poset(P.elements, covers(P)) == P
     assert covers(chain(4)) == [("0", "1"), ("1", "2"), ("2", "3")]
     assert covers(antichain(3)) == []
+
+
+def test_covers_match_brute_force_oracle():
+    for n in range(8):
+        for P in enumerate_posets(n, up_to_iso=True):
+            assert covers(P) == covers_brute(P)
+    rng = random.Random(2007)
+    for seed in range(50):
+        P = random_poset(rng.randint(20, 200), rng.choice([0.02, 0.05, 0.2, 0.5]), seed=seed)
+        assert covers(P) == covers_brute(P)
+    tower = suspension(antichain(2), 99)
+    assert covers(tower) == covers_brute(tower)
 
 
 def test_minimal_open_sets():

@@ -37,7 +37,7 @@ from finposet import dimension
 from finposet.census import enumerate_posets
 from finposet.core import _down_sets, disjoint_union, induced_subposet, opposite, remove_element
 from finposet.dimension import extend_embedding_at_beat_point
-from oracles import exists_embedding_naive, two_dimension_cover
+from oracles import covers_brute, exists_embedding_naive, two_dimension_cover
 
 
 def fence():
@@ -423,6 +423,16 @@ def test_capacity_rule_bounds_mask_size():
         E = exists_embedding(P, w)
         assert E is not None and verify_embedding(E)
         assert E.masks["b"].bit_count() <= w - 3
+
+
+def test_plan_covers_match_brute_force_oracle():
+    # the width search's covers, mapped back from positions to elements
+    for n in range(1, 8):
+        for P in enumerate_posets(n, up_to_iso=True):
+            plan = dimension._Plan(P)
+            names = [P.elements[i] for i in plan.order]
+            pairs = [(names[s], names[t]) for t, lower in enumerate(plan.links()[0]) for s in lower]
+            assert sorted(pairs, key=lambda p: (P.index(p[0]), P.index(p[1]))) == covers_brute(P)
 
 
 def test_structure_stats_once_per_two_dimension(monkeypatch):

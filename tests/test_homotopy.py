@@ -18,7 +18,7 @@ from finposet import (
     suspension,
 )
 from finposet import homotopy
-from finposet.census import enumerate_posets
+from finposet.census import enumerate_posets, random_poset
 from finposet.core import opposite, remove_element
 
 
@@ -106,6 +106,15 @@ def test_own_core_is_not_rebuilt(monkeypatch):
     S = suspension(antichain(3))
     assert core(S).core == S
     assert core(S, random.Random(0)).core == S
+
+
+def test_deflation_leaves_up_rows_unbuilt():
+    # the deflation ranks P's down rows itself and never asks for the transpose
+    for P in (chain(30), suspension(antichain(2), 20), random_poset(60, 0.1, seed=3), fence()):
+        for fn in (core, beat_points):
+            fresh = Poset(P.elements, P.down_rows)
+            fn(fresh)
+            assert fresh._up is None
 
 
 def test_contractibility():

@@ -71,3 +71,61 @@ def test_benchmark_span_metrics_name_public_functions():
         fn = getattr(mod, function, None)
         assert not function.startswith("_") and inspect.isfunction(fn), f"{module}.{function}"
         assert fn.__module__ == mod.__name__, f"{module}.{function}"
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    paths = sorted(PACKAGE.glob("*.py"))
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Every name node reads, as a bare name, an attribute or an imported member."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names that tree imports and never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def unreferenced_private_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """Private top-level functions and classes that no other statement of the package reads."""
+    statements = [(stem, stmt) for stem, tree in modules.items() for stmt in tree.body]
+    found = []
+    for stem, stmt in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or not stmt.name.startswith("_"):
+            continue
+        if not any(stmt.name in referenced_names(other) for _, other in statements if other is not stmt):
+            found.append(f"{stem}.{stmt.name}")
+    return found
+
+
+def test_no_unused_imports():
+    # a consolidation must not leave an import behind that nothing reads
+    assert unused_imports(ast.parse("from x import a, b\nimport c.d\nprint(a)")) == ["b", "c"]
+    modules = parsed_modules()
+    assert len(modules) > 5
+    modules.pop("__init__")  # it imports to re-export
+    assert [f"{stem}: {name}" for stem, tree in modules.items() for name in unused_imports(tree)] == []
+
+
+def test_no_unreferenced_private_definitions():
+    # nor a private helper that nothing calls
+    demo = {"m": ast.parse("def _a(): return _a()\ndef _b(): pass\ndef c(): return _b()")}
+    assert unreferenced_private_definitions(demo) == ["m._a"]
+    assert unreferenced_private_definitions(parsed_modules()) == []
