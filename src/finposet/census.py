@@ -42,7 +42,6 @@ from .dimension import (
     lower_bound,
     two_dimension,
     upper_bound,
-    verify_embedding,
 )
 from .errors import OutOfRange, TooLarge, UnknownCheck
 from .homotopy import beat_points, core
@@ -224,12 +223,8 @@ def _check_contractible_bound(P: Poset) -> bool:
     trace = core(P)
     if not trace.contractible:
         return True
-    E = _replay_deflation(trace)
-    return (
-        E.width == max(len(P) - 1, 0)
-        and verify_embedding(E)
-        and _dim(P) <= max(len(P) - 1, 0)
-    )
+    bound = max(len(P) - 1, 0)
+    return _replay_deflation(trace).width == bound and _dim(P) <= bound
 
 
 def _check_suspension(P: Poset) -> bool:

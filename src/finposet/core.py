@@ -324,11 +324,11 @@ def topology_census(P: Poset) -> tuple[int, int]:
 def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.inf) -> list[int] | None:
     """Every down-closed subset of the rows, as bitmasks, or None past limit.
 
-    order must list the indices in a linear extension.  The walk adds one
-    point at a time: the down-sets of the points so far are kept, and each
-    one that holds the new point's strict down-set also yields its union
-    with the point.  The count never falls, so the walk stops as soon as
-    it passes limit, and None means the full count is above limit.
+    Rows may be strict or reflexive; order must list the indices in a
+    linear extension.  The walk adds one point at a time: the down-sets of
+    the points so far are kept, and each one that holds the new point's
+    strict down-set also yields its union with the point.  The count never
+    falls, so the walk stops as soon as it passes limit and returns None.
     """
     sets = [0]
     for i in order:

@@ -8,16 +8,17 @@ bit i, and bitstrings print coordinate 0 first.
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by the number of up-sets: a cover of the critical
 pairs by up-sets, and an exhaustive width search (pruned by coordinate
-and twin symmetry and by up-set capacity).  Each answers one width,
-and two_dimension's one loop asks widths upwards until one is answered.
-The canonical characteristic-function embedding has width |P|, and a
-deflation replay turns a core computation into an embedding one new
-coordinate per removed point.
+and twin symmetry and by up-set capacity).  Both work on positions along
+one linear extension and answer one width each; two_dimension's one
+loop asks widths upwards and verifies the first answer.  The canonical
+characteristic-function embedding has width |P|, and a deflation replay
+turns a core computation into an embedding one new coordinate per
+removed point.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -148,8 +149,9 @@ def verify_embedding(E: CubeEmbedding) -> bool:
 class _Plan:
     """What the exact backends need of P, ranked along a linear extension by ``core._ranked``.
 
-    Both backends read order and start.  What only the width search reads
-    is built by links() on first use, so the up-set cover never pays for it.
+    Both backends read start and the strict rows below and above, over
+    positions along order, and return one mask per position to embedding().
+    What only the width search reads is built by links() on first use.
     """
 
     def __init__(self, P: Poset):
@@ -186,6 +188,10 @@ class _Plan:
                 last[key] = t
             self._links = (covers, incomparable, tuple(twin_first), tuple(twin_prev))
         return self._links
+
+    def embedding(self, P: Poset, width: int, masks: Sequence[int]) -> CubeEmbedding:
+        """The embedding of P at width that gives position t the mask masks[t]."""
+        return CubeEmbedding(P, width, {P.elements[i]: masks[t] for t, i in enumerate(self.order)})
 
 
 @lru_cache(maxsize=1)
@@ -281,20 +287,21 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
                     break
         return False
 
-    if place(0, 0):
-        elements = P.elements
-        return CubeEmbedding(P, width, {elements[i]: masks[t] for t, i in enumerate(plan.order)})
-    return None
+    return plan.embedding(P, width, masks) if place(0, 0) else None
 
 
 def _least_embedding(P: Poset, embed_at: Callable[[int], CubeEmbedding | None]) -> CubeEmbedding:
     """The first embedding embed_at returns, asking each width once from the plan's start up.
 
-    No width below the start embeds P, so the first width answered is the least.
+    No width below the start embeds P, so the first width answered is the
+    least.  The answer is verified, whichever backend gave it;
+    InvalidEmbedding means that check failed.
     """
     for width in range(_plan(P).start, len(P) + 1):
         E = embed_at(width)
         if E is not None:
+            if not verify_embedding(E):
+                raise InvalidEmbedding("the exact backend did not produce a valid embedding")
             return E
     raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
 
@@ -304,9 +311,11 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
 
     The returned function maps a width w to an embedding of P into the
     w-cube built from a cover of P's critical pairs by at most w up-sets,
-    or to None when there is no such cover.
+    or to None when there is no such cover.  Points are the plan's
+    positions, and its strict rows below and above give the order.
 
-    downs must list every down-set of P; the up-sets are their
+    downs must list every down-set of P as masks over positions
+    (``_down_sets(_plan(P).below, range(len(P)))``); the up-sets are their
     complements.  Coordinate k of an embedding into the w-cube picks out
     the up-set U_k of points whose mask has bit k, and mask(x) is a subset
     of mask(y) exactly when every U_k holding x holds y.  So P embeds at
@@ -335,23 +344,22 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
     k = 2 the child's single intersection costs less than the test.)
     Failed (k, uncovered) states with k >= 2 are remembered across
     widths; the chosen up-sets are not.  Bit k of mask(x) is set iff x
-    is in the k-th chosen up-set; each embedding is verified, and
-    InvalidEmbedding means that check failed.
+    is in the k-th chosen up-set, and _least_embedding verifies the result.
     """
+    plan = _plan(P)
+    below, above = plan.below, plan.above
     n = len(P)
     full = (1 << n) - 1
-    down, up = P.down_rows, P.up_rows
-    strict_down = [row & ~(1 << i) for i, row in enumerate(down)]
     # critical[x]: the y with (x, y) critical, that is y above every strict
     # lower point of x, not above x, and strictly below nothing outside up(x)
     critical = []
     sources = target = 0
     for x in range(n):
-        row = full & ~up[x]
-        for z in _bits(strict_down[x]):
-            row &= up[z]
-        for v in _bits(full & ~up[x]):
-            row &= ~strict_down[v]
+        row = outside = full & ~(above[x] | 1 << x)
+        for z in _bits(below[x]):
+            row &= above[z] | 1 << z
+        for v in _bits(outside):
+            row &= ~below[v]
         critical.append(row)
         if row:
             sources |= 1 << x
@@ -421,13 +429,8 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
         chosen = cover(width, target)
         if chosen is None:
             return None
-        masks = {
-            e: sum(1 << k for k, U in enumerate(chosen) if U >> i & 1) for i, e in enumerate(P.elements)
-        }
-        E = CubeEmbedding(P, width, masks)
-        if not verify_embedding(E):
-            raise InvalidEmbedding("the up-set cover did not produce a valid embedding")
-        return E
+        masks = [sum(1 << k for k, U in enumerate(chosen) if U >> t & 1) for t in range(n)]
+        return plan.embedding(P, width, masks)
 
     return embed_at
 
@@ -438,11 +441,11 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     Two exact backends each answer one width: the up-set cover
     (_cover_embedding) for a poset of at least COVER_MIN_SIZE points with
     at most COVER_LIMIT up-sets, the width search (exists_embedding) for
-    any other.  A down-set walk along the plan's linear extension,
-    stopped once it passes COVER_LIMIT, counts the up-sets.  One loop
-    (_least_embedding) asks the chosen backend width by width from the
-    search plan's start, which is at least lower_bound(P), and the first
-    width answered is the value.  Sizes above max_size are refused (both
+    any other.  A down-set walk over the plan's strict rows, stopped once
+    it passes COVER_LIMIT, counts the up-sets.  One loop (_least_embedding)
+    asks the chosen backend width by width from the plan's start, which is
+    at least lower_bound(P); the first width answered, with its witness
+    verified, is the value.  Sizes above max_size are refused (both
     backends are exponential); raise the cap explicitly to push further.
     """
     n = len(P)
@@ -450,7 +453,7 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
         raise EmptyPoset("the empty space has no 2-dimension")
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
-    downs = _down_sets(P.down_rows, _plan(P).order, COVER_LIMIT) if n >= COVER_MIN_SIZE else None
+    downs = _down_sets(_plan(P).below, range(n), COVER_LIMIT) if n >= COVER_MIN_SIZE else None
     embed_at = partial(exists_embedding, P) if downs is None else _cover_embedding(P, downs)
     E = _least_embedding(P, embed_at)
     return DimCertificate(E.width, E, True)

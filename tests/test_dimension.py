@@ -329,7 +329,7 @@ def test_cover_oracle_matches_on_random_posets_with_twins():
 
 def backends_agree(P):
     """Run both exact backends through the width loop, whatever the up-set count; return the width."""
-    downs = _down_sets(P.down_rows, dimension._plan(P).order)
+    downs = _down_sets(dimension._plan(P).below, range(len(P)))
     by_cover = dimension._least_embedding(P, dimension._cover_embedding(P, downs))
     by_search = dimension._least_embedding(P, partial(exists_embedding, P))
     assert by_cover.poset == by_search.poset == P
@@ -403,6 +403,26 @@ def test_cover_raises_on_invalid_witness(monkeypatch):
     monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
     with pytest.raises(InvalidEmbedding):
         two_dimension(antichain(6))
+
+
+def test_search_answers_are_verified(monkeypatch):
+    # the width loop checks every witness, not only the cover's
+    monkeypatch.setattr(dimension, "_cover_embedding", lambda P, downs: pytest.fail("routed to the cover"))
+    monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
+    # the last one has 608 up-sets, past COVER_LIMIT
+    for P in (antichain(5), chain(4), disjoint_union(suspension(antichain(4)), antichain(5))):
+        with pytest.raises(InvalidEmbedding):
+            two_dimension(P)
+
+
+def test_cover_leaves_up_rows_unbuilt(monkeypatch):
+    # the cover reads the plan's ranked rows, never the poset's transpose
+    monkeypatch.setattr(dimension, "exists_embedding", lambda P, w: pytest.fail("routed to the search"))
+    fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in MOVED_BAND]
+    for P in fresh:
+        assert P._up is None
+        assert verify_embedding(two_dimension(P).witness)
+        assert P._up is None
 
 
 def test_capacity_rule_on_suspended_antichain():
