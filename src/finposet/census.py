@@ -12,16 +12,16 @@ enumeration expands each class into its orbit, the distinct relabelings
 on 0..n-1, and census checks run once per class, counting labeled
 posets by orbit.
 
-Within one ``census_check`` call every 2-dimension a check asks for is
-computed once per row tuple (the value depends only on the rows) and
-kept until the call returns; a check called on its own keeps nothing.
+Every check takes ``(P, dim)`` and asks ``dim`` for the 2-dimensions it
+needs.  One ``census_check`` call passes all its checks one ``dim`` whose
+memo, the 2-dimension of each row tuple asked for (the value depends only
+on the rows), lives in that call and is dropped when it returns.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable
@@ -50,33 +50,13 @@ LABELED_GUARD = 6
 UNLABELED_GUARD = 8
 
 
-class _Run:
-    """What one census_check call computes once and counts.
-
-    dims maps each row tuple a check asked the 2-dimension of to its
-    value; asked counts the questions and forms the canonical forms the
-    enumeration computed.
-    """
-
-    __slots__ = ("dims", "asked", "forms")
-
-    def __init__(self) -> None:
-        self.dims: dict[tuple[int, ...], int] = {}
-        self.asked = 0
-        self.forms = 0
-
-
-# The run of the census_check in progress; None outside one, so that a
-# check called directly keeps nothing.
-_RUN: ContextVar[_Run | None] = ContextVar("census_run", default=None)
-
-
 def _names(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
 
-def _iso_classes(n: int) -> list[Poset]:
-    """One canonical representative per isomorphism class, sorted by row tuple.
+def _iso_classes(n: int) -> tuple[list[Poset], int]:
+    """One canonical representative per isomorphism class, sorted by row tuple,
+    and the number of canonical forms computed on the way.
 
     Grown one maximal point at a time: the classes on j+1 points are
     the canonical forms of a representative R on j points plus a new top
@@ -94,8 +74,8 @@ def _iso_classes(n: int) -> list[Poset]:
     maximal points, with down-sets of the same sizes, so none has a
     larger down-set than x and R + d is kept.
     """
-    run = _RUN.get()
     level: list[tuple[int, ...]] = [()]
+    computed = 0
     for j in range(n):
         forms = set()
         for rows in level:
@@ -113,11 +93,10 @@ def _iso_classes(n: int) -> list[Poset]:
                 if not heavier[d.bit_count() + 1] & ~d
             ]
             forms.update(_canonical_rows(rows + (top,)) for top in tops)
-            if run is not None:
-                run.forms += len(tops)
+            computed += len(tops)
         level = sorted(forms)
     names = _names(n)
-    return [Poset(names, rows) for rows in level]
+    return [Poset(names, rows) for rows in level], computed
 
 
 def _orbit(rows: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -142,7 +121,7 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
     orders of magnitude larger.
     """
     _check_size(n, up_to_iso)
-    classes = _iso_classes(n)
+    classes, _ = _iso_classes(n)
     if up_to_iso:
         return classes
     names = _names(n)
@@ -194,56 +173,44 @@ class CensusReport:
         ]
 
 
-def _dim(P: Poset) -> int:
-    run = _RUN.get()
-    if run is None:
-        return two_dimension(P, max_size=len(P)).value
-    run.asked += 1
-    rows = P.down_rows
-    d = run.dims.get(rows)
-    if d is None:
-        d = run.dims[rows] = two_dimension(P, max_size=len(P)).value
-    return d
+def _check_bounds(P: Poset, dim: Callable[[Poset], int]) -> bool:
+    return lower_bound(P) <= dim(P) <= upper_bound(P)
 
 
-def _check_bounds(P: Poset) -> bool:
-    return lower_bound(P) <= _dim(P) <= upper_bound(P)
-
-
-def _check_beat_continuity(P: Poset) -> bool:
-    d = _dim(P)
+def _check_beat_continuity(P: Poset, dim: Callable[[Poset], int]) -> bool:
+    d = dim(P)
     for w in beat_points(P):
-        d2 = _dim(remove_element(P, w.point))
+        d2 = dim(remove_element(P, w.point))
         if not d - 1 <= d2 <= d:
             return False
     return True
 
 
-def _check_contractible_bound(P: Poset) -> bool:
+def _check_contractible_bound(P: Poset, dim: Callable[[Poset], int]) -> bool:
     trace = core(P)
     if not trace.contractible:
         return True
     bound = max(len(P) - 1, 0)
-    return _replay_deflation(trace).width == bound and _dim(P) <= bound
+    return _replay_deflation(trace).width == bound and dim(P) <= bound
 
 
-def _check_suspension(P: Poset) -> bool:
-    return _dim(suspension(P)) == _dim(P) + 2
+def _check_suspension(P: Poset, dim: Callable[[Poset], int]) -> bool:
+    return dim(suspension(P)) == dim(P) + 2
 
 
-def _check_monotony(P: Poset) -> bool:
+def _check_monotony(P: Poset, dim: Callable[[Poset], int]) -> bool:
     if len(P) == 1:
         return True
-    d = _dim(P)
-    return all(_dim(remove_element(P, x)) <= d for x in P.elements)
+    d = dim(P)
+    return all(dim(remove_element(P, x)) <= d for x in P.elements)
 
 
-def _check_antichain_bijection(P: Poset) -> bool:
+def _check_antichain_bijection(P: Poset, dim: Callable[[Poset], int]) -> bool:
     opens, antichains = topology_census(P)
     return opens == antichains
 
 
-def _check_core_uniqueness(P: Poset) -> bool:
+def _check_core_uniqueness(P: Poset, dim: Callable[[Poset], int]) -> bool:
     base = core(P).core.down_rows
     form = None
     for seed in (0, 1, 2):
@@ -257,7 +224,7 @@ def _check_core_uniqueness(P: Poset) -> bool:
     return True
 
 
-CHECKS: dict[str, Callable[[Poset], bool]] = {
+CHECKS: dict[str, Callable[[Poset, Callable[[Poset], int]], bool]] = {
     "bounds": _check_bounds,
     "beat-continuity": _check_beat_continuity,
     "contractible-bound": _check_contractible_bound,
@@ -285,40 +252,47 @@ def census_check(
     counterexamples are the orbits of the failing classes in sorted row
     order, as in ``enumerate_posets(n)``.
 
-    The 2-dimensions the checks ask for are computed once per row tuple
-    and dropped when the call returns.  With a log, one ``STATS`` line
-    is passed to it after the enumeration (classes, canonical forms
-    computed, seconds) and one after each check (seconds, classes,
-    2-dimensions computed and asked for).
+    Every check gets the same ``dim``: it computes the 2-dimension of
+    each row tuple once and keeps it until the call returns.  With a log,
+    one ``STATS`` line is passed to it after the enumeration (classes,
+    canonical forms computed, seconds) and one after each check
+    (seconds, classes, 2-dimensions computed and asked for).
     """
     wanted = list(dict.fromkeys(checks))
     for name in wanted:
         if name not in CHECKS:
             raise UnknownCheck(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     _check_size(n, up_to_iso)
-    run = _Run()
-    token = _RUN.set(run)
-    try:
-        start = time.perf_counter()
-        classes = enumerate_posets(n, up_to_iso=True)
+    dims: dict[tuple[int, ...], int] = {}
+    asked = 0
+
+    def dim(P: Poset) -> int:
+        nonlocal asked
+        asked += 1
+        rows = P.down_rows
+        d = dims.get(rows)
+        if d is None:
+            d = dims[rows] = two_dimension(P, max_size=len(P)).value
+        return d
+
+    start = time.perf_counter()
+    classes, forms = _iso_classes(n)
+    if log is not None:
+        log(f"STATS enumerate classes={len(classes)} canonical_forms={forms}"
+            f" seconds={time.perf_counter() - start:.3f}")
+    if up_to_iso:
+        orbits = [(P.down_rows,) for P in classes]
+    else:
+        orbits = [_orbit(P.down_rows) for P in classes]
+    posets = sum(len(orbit) for orbit in orbits)
+    names = _names(n)
+    results = []
+    for name in wanted:
+        fn = CHECKS[name]
+        start, computed, asked_before = time.perf_counter(), len(dims), asked
+        bad = sorted(rows for P, orbit in zip(classes, orbits) if not fn(P, dim) for rows in orbit)
+        results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
         if log is not None:
-            log(f"STATS enumerate classes={len(classes)} canonical_forms={run.forms}"
-                f" seconds={time.perf_counter() - start:.3f}")
-        if up_to_iso:
-            orbits = [(P.down_rows,) for P in classes]
-        else:
-            orbits = [_orbit(P.down_rows) for P in classes]
-        posets = sum(len(orbit) for orbit in orbits)
-        names = _names(n)
-        results = []
-        for name in wanted:
-            fn = CHECKS[name]
-            start, computed, asked = time.perf_counter(), len(run.dims), run.asked
-            bad = sorted(rows for P, orbit in zip(classes, orbits) if not fn(P) for rows in orbit)
-            results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
-            if log is not None:
-                log(f"STATS check {name} classes={len(classes)} seconds={time.perf_counter() - start:.3f}"
-                    f" dims_computed={len(run.dims) - computed} dims_asked={run.asked - asked}")
-    finally:
-        _RUN.reset(token)
+            log(f"STATS check {name} classes={len(classes)} seconds={time.perf_counter() - start:.3f}"
+                f" dims_computed={len(dims) - computed} dims_asked={asked - asked_before}")
     return CensusReport(n, up_to_iso, tuple(results))

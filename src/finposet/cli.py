@@ -56,14 +56,13 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_info(args: argparse.Namespace) -> int:
     P = _read_poset(args.file)
     stats = structure_stats(P)
-    print(f"size {len(P)}")
-    print(f"height {stats.height}")
     low = lower_bound(P, stats)
     beats, trace = _beat_points_and_core(P)
-    print(f"bounds {low}..{upper_bound(P, trace)}")
-    for w in beats:
-        print(f"beat_point {w.point} {w.kind} {w.witness}")
-    print(f"contractible {'true' if trace.contractible else 'false'}")
+    # every line is computed before any is printed, so a failure prints none
+    lines = [f"size {len(P)}", f"height {stats.height}", f"bounds {low}..{upper_bound(P, trace)}"]
+    lines += [f"beat_point {w.point} {w.kind} {w.witness}" for w in beats]
+    lines.append(f"contractible {'true' if trace.contractible else 'false'}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

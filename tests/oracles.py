@@ -20,6 +20,7 @@ from finposet import (
     StructureStats,
     TooWide,
     UnknownElement,
+    two_dimension,
 )
 from finposet.census import CHECKS, CensusReport, CheckResult, enumerate_posets
 from finposet.dimension import WIDTH_GUARD
@@ -256,6 +257,11 @@ def topology_census_brute(P: Poset) -> tuple[int, int]:
     return opens, antichains
 
 
+def exact_dim(P: Poset) -> int:
+    """The 2-dimension with no memo, the dim a census check is given."""
+    return two_dimension(P, max_size=len(P)).value
+
+
 def census_check_brute(n: int, checks: Iterable[str]) -> CensusReport:
     """The labeled census the slow way: every check on every labeled poset.
 
@@ -264,7 +270,7 @@ def census_check_brute(n: int, checks: Iterable[str]) -> CensusReport:
     """
     posets = enumerate_posets(n)
     results = tuple(
-        CheckResult(name, len(posets), tuple(P for P in posets if not CHECKS[name](P)))
+        CheckResult(name, len(posets), tuple(P for P in posets if not CHECKS[name](P, exact_dim)))
         for name in checks
     )
     return CensusReport(n, False, results)

@@ -16,7 +16,7 @@ from finposet import (
 from finposet import census, homotopy
 from finposet.census import CHECKS, enumerate_posets
 from finposet.core import _canonical_rows
-from oracles import census_check_brute
+from oracles import census_check_brute, exact_dim
 
 
 def brute_force_labeled_count(n):
@@ -151,7 +151,7 @@ def test_contractible_bound_deflates_each_class_once(monkeypatch):
 
     monkeypatch.setattr(homotopy, "_Deflation", Counted)
     classes = enumerate_posets(6, up_to_iso=True)
-    assert all(CHECKS["contractible-bound"](P) for P in classes)
+    assert all(CHECKS["contractible-bound"](P, exact_dim) for P in classes)
     assert len(built) == len(classes) == 318
 
 
@@ -190,7 +190,7 @@ def test_census_check_all_checks_small():
 
 def test_census_check_runs_repeated_names_once(monkeypatch):
     runs = []
-    monkeypatch.setitem(CHECKS, "counted", lambda P: runs.append(P) or True)
+    monkeypatch.setitem(CHECKS, "counted", lambda P, dim: runs.append(P) or True)
     report = census_check(3, ["counted", "bounds", "counted"], up_to_iso=True)
     assert [r.name for r in report.results] == ["counted", "bounds"]
     assert len(runs) == 5
@@ -202,7 +202,7 @@ def test_census_check_unknown_name():
 
 
 def test_census_check_collects_counterexamples(monkeypatch):
-    monkeypatch.setitem(CHECKS, "never", lambda P: len(P) != 2)
+    monkeypatch.setitem(CHECKS, "never", lambda P, dim: len(P) != 2)
     report = census_check(2, ["never"])
     assert not report.ok()
     assert report.format_lines() == ["CHECK never posets=3 counterexamples=3"]
@@ -219,7 +219,7 @@ def test_census_check_matches_brute_labeled_census():
 
 
 def test_census_check_expands_failing_orbits(monkeypatch):
-    def no_maximum(P):
+    def no_maximum(P, dim):
         full = (1 << len(P)) - 1
         return full not in P.down_rows
 
@@ -256,20 +256,47 @@ def test_census_check_computes_each_dimension_once(monkeypatch):
             assert enum.startswith("STATS enumerate classes=318 canonical_forms=583 seconds=")
             assert check.startswith(f"STATS check {name} classes=318 seconds=")
             assert check.endswith(f" dims_computed={distinct} dims_asked={asked}")
-    assert census._RUN.get() is None
+
+
+def test_census_check_shares_dimensions_across_checks(monkeypatch):
+    # the second check asks for 2-dimensions the first one already computed
+    calls = counting(monkeypatch, "two_dimension", census.two_dimension)
+    orders = {
+        ("monotony", "beat-continuity"): [(534, 2226), (0, 1766)],
+        ("beat-continuity", "monotony"): [(488, 1766), (46, 2226)],
+    }
+    for names, counts in orders.items():
+        calls.clear()
+        lines = []
+        report = census_check(6, names, up_to_iso=True, log=lines.append)
+        assert report.ok() and len(calls) == 534
+        assert [line.split()[-2:] for line in lines[1:]] == [
+            [f"dims_computed={computed}", f"dims_asked={asked}"] for computed, asked in counts
+        ]
 
 
 def test_check_called_directly_keeps_nothing(monkeypatch):
-    calls = counting(monkeypatch, "two_dimension", census.two_dimension)
+    # a check computes no 2-dimension itself: it asks the dim it is given each time
+    def fail(*args, **kw):
+        raise AssertionError("a check called two_dimension itself")
+
+    monkeypatch.setattr(census, "two_dimension", fail)
+    asked = []
+
+    def dim(P):
+        asked.append(P)
+        return exact_dim(P)
+
     P = enumerate_posets(5, up_to_iso=True)[-1]
-    assert CHECKS["monotony"](P) and CHECKS["monotony"](P)
-    assert len(calls) == 2 * (1 + len(P))
-    assert census._RUN.get() is None
+    assert CHECKS["monotony"](P, dim)
+    assert len(asked) == 1 + len(P)
+    assert CHECKS["monotony"](P, dim)
+    assert len(asked) == 2 * (1 + len(P))
 
 
 def test_core_uniqueness_compares_rows_first(monkeypatch):
     # only one of the 954 seeded cores of the 6-point classes has other rows
     classes = enumerate_posets(6, up_to_iso=True)
     calls = counting(monkeypatch, "_canonical_rows", _canonical_rows)
-    assert all(CHECKS["core-uniqueness"](P) for P in classes)
+    assert all(CHECKS["core-uniqueness"](P, exact_dim) for P in classes)
     assert len(calls) == 2

@@ -138,7 +138,7 @@ def test_info_empty_file(tmp_path, capsys):
     path.write_text("")
     code, out, err = run(capsys, "info", str(path))
     assert code == 1
-    assert out == "size 0\nheight 0\n"
+    assert out == ""
     assert err == "error: the empty space has no embedding width bounds\n"
 
 
@@ -278,7 +278,7 @@ def test_census_counterexample_files(tmp_path, capsys, monkeypatch):
     from finposet.census import CHECKS
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(CHECKS, "never", lambda P: False)
+    monkeypatch.setitem(CHECKS, "never", lambda P, dim: False)
     code, out, err = run(capsys, "census", "--size", "2", "--unlabeled", "--check", "never")
     assert code == 1
     assert out == "CHECK never posets=2 counterexamples=2\n"

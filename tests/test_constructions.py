@@ -17,6 +17,7 @@ from finposet import (
     suspension,
 )
 from finposet.census import enumerate_posets
+from finposet.constructions import HYPERCUBE_GUARD
 from finposet.core import disjoint_union, product
 
 
@@ -112,6 +113,20 @@ def test_hypercube():
         hypercube(21)
     with pytest.raises(OutOfRange):
         hypercube(-1)
+
+
+def test_hypercube_rows_are_subset_masks():
+    for n in range(9):
+        rows = hypercube(n).down_rows
+        assert rows == tuple(
+            sum(1 << s for s in range(1 << n) if s & ~m == 0) for m in range(1 << n)
+        )
+
+
+def test_hypercube_guard():
+    assert len(hypercube(HYPERCUBE_GUARD)) == 1 << HYPERCUBE_GUARD
+    with pytest.raises(TooLarge):
+        hypercube(HYPERCUBE_GUARD + 1)
 
 
 def test_hypercube_is_sierpinski_power():

@@ -129,3 +129,21 @@ def test_no_unreferenced_private_definitions():
     demo = {"m": ast.parse("def _a(): return _a()\ndef _b(): pass\ndef c(): return _b()")}
     assert unreferenced_private_definitions(demo) == ["m._a"]
     assert unreferenced_private_definitions(parsed_modules()) == []
+
+
+def ambient_state(tree: ast.Module) -> list[int]:
+    """Lines where tree creates a ContextVar or has a global statement."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Global)
+        or isinstance(node, ast.Call) and "ContextVar" in referenced_names(node.func)
+    )
+
+
+def test_no_ambient_state():
+    # a result must depend on the arguments of a call, not on state a caller left behind
+    demo = "import contextvars\nV = contextvars.ContextVar('v')\ndef f():\n    global V\nW = ContextVar('w')"
+    assert ambient_state(ast.parse(demo)) == [2, 4, 5]
+    modules = parsed_modules()
+    assert [f"{stem}:{line}" for stem, tree in modules.items() for line in ambient_state(tree)] == []
