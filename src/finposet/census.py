@@ -7,10 +7,11 @@ extension is skipped before its canonical form when the new top would
 not have the largest down-set among the maximal points (the argument
 that this keeps every class is in ``_iso_classes``); the extensions
 that remain still meet some classes more than once, so each level is
-deduplicated by canonical form (``core._canonical_rows``).  Labeled
-enumeration expands each class into its orbit, the distinct relabelings
-on 0..n-1, and census checks run once per class, counting labeled
-posets by orbit.
+deduplicated by canonical form (``core._canonical_rows``), which also
+gives each class's |Aut|.  Labeled enumeration expands each class into
+its orbit, the distinct relabelings on 0..n-1.  Census checks run once
+per class and count a class's labeled posets as n!/|Aut|, the size of
+its orbit; only a failing class is expanded, into its counterexamples.
 
 Every check takes ``(P, dim)`` and asks ``dim`` for the 2-dimensions it
 needs.  One ``census_check`` call passes all its checks one ``dim`` whose
@@ -20,6 +21,7 @@ on the rows), lives in that call and is dropped when it returns.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -54,9 +56,10 @@ def _names(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
 
-def _iso_classes(n: int) -> tuple[list[Poset], int]:
+def _iso_classes(n: int) -> tuple[list[Poset], list[int], int]:
     """One canonical representative per isomorphism class, sorted by row tuple,
-    and the number of canonical forms computed on the way.
+    the order of each one's automorphism group, and the number of canonical
+    forms computed on the way.
 
     Grown one maximal point at a time: the classes on j+1 points are
     the canonical forms of a representative R on j points plus a new top
@@ -75,9 +78,10 @@ def _iso_classes(n: int) -> tuple[list[Poset], int]:
     larger down-set than x and R + d is kept.
     """
     level: list[tuple[int, ...]] = [()]
+    forms: dict[tuple[int, ...], int] = {(): 1}  # canonical form -> |Aut|
     computed = 0
     for j in range(n):
-        forms = set()
+        forms = {}
         for rows in level:
             below = 0
             for i, row in enumerate(rows):
@@ -96,7 +100,7 @@ def _iso_classes(n: int) -> tuple[list[Poset], int]:
             computed += len(tops)
         level = sorted(forms)
     names = _names(n)
-    return [Poset(names, rows) for rows in level], computed
+    return [Poset(names, rows) for rows in level], [forms[rows] for rows in level], computed
 
 
 def _orbit(rows: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -121,7 +125,7 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
     orders of magnitude larger.
     """
     _check_size(n, up_to_iso)
-    classes, _ = _iso_classes(n)
+    classes, _, _ = _iso_classes(n)
     if up_to_iso:
         return classes
     names = _names(n)
@@ -218,8 +222,8 @@ def _check_core_uniqueness(P: Poset, dim: Callable[[Poset], int]) -> bool:
         if other == base:
             continue
         if form is None:
-            form = _canonical_rows(base)
-        if len(other) != len(base) or _canonical_rows(other) != form:
+            form = _canonical_rows(base)[0]
+        if len(other) != len(base) or _canonical_rows(other)[0] != form:
             return False
     return True
 
@@ -248,7 +252,7 @@ def census_check(
     must be an isomorphism invariant: it runs once per class, on the
     canonical representative.  Unlabeled, each class counts once and a
     failing representative is a counterexample.  Labeled, a class counts
-    as its orbit (its distinct relabelings on 0..n-1), and the
+    as its orbit (its n!/|Aut| distinct relabelings on 0..n-1), and the
     counterexamples are the orbits of the failing classes in sorted row
     order, as in ``enumerate_posets(n)``.
 
@@ -276,21 +280,18 @@ def census_check(
         return d
 
     start = time.perf_counter()
-    classes, forms = _iso_classes(n)
+    classes, automorphisms, forms = _iso_classes(n)
     if log is not None:
         log(f"STATS enumerate classes={len(classes)} canonical_forms={forms}"
             f" seconds={time.perf_counter() - start:.3f}")
-    if up_to_iso:
-        orbits = [(P.down_rows,) for P in classes]
-    else:
-        orbits = [_orbit(P.down_rows) for P in classes]
-    posets = sum(len(orbit) for orbit in orbits)
+    posets = len(classes) if up_to_iso else sum(math.factorial(n) // a for a in automorphisms)
     names = _names(n)
     results = []
     for name in wanted:
         fn = CHECKS[name]
         start, computed, asked_before = time.perf_counter(), len(dims), asked
-        bad = sorted(rows for P, orbit in zip(classes, orbits) if not fn(P, dim) for rows in orbit)
+        failing = [P.down_rows for P in classes if not fn(P, dim)]
+        bad = failing if up_to_iso else sorted(rows for form in failing for rows in _orbit(form))
         results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
         if log is not None:
             log(f"STATS check {name} classes={len(classes)} seconds={time.perf_counter() - start:.3f}"

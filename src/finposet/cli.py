@@ -8,6 +8,7 @@ verification), 2 usage and file errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .census import census_check
@@ -15,8 +16,8 @@ from .constructions import antichain, chain, cone, hypercube, suspension
 from .core import Poset, structure_stats
 from .dimension import (
     SIZE_GUARD,
+    _replay_deflation,
     canonical_embedding,
-    contractible_embedding,
     lower_bound,
     two_dimension,
     upper_bound,
@@ -81,7 +82,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if args.method == "canonical":
         E = canonical_embedding(P)
     elif args.method == "contractible":
-        E = contractible_embedding(P)
+        E = _replay_deflation(core(P), args.max_size)
     else:
         E = two_dimension(P, max_size=args.max_size).witness
     sys.stdout.write(format_embedding(E))
@@ -147,6 +148,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built at first use, not at import; it holds no answers
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="finposet", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)

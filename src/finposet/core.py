@@ -11,8 +11,9 @@ subsets and order queries and topology queries coincide.
 
 Isomorphism has one engine, the canonical form ``_canonical_rows``: an
 individualization-refinement search whose cost is about one relabeling
-per automorphism left after twin swaps.  ``is_isomorphic`` compares
-canonical forms and unlabeled enumeration dedupes by them.
+per automorphism left after twin swaps, and which also counts |Aut|.
+``is_isomorphic`` compares canonical forms and unlabeled enumeration
+dedupes by them.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .errors import CycleError, TooLarge, UnknownElement
 # topology_census keeps every open set and antichain it counts, up to
 # 2^n of each, so its size is capped here.
 CENSUS_GUARD = 20
-# Default size guard for isomorphism tests.  The canonical form visits
-# about |Aut| leaves modulo twin swaps; at 10 points the worst family,
-# disjoint 2-chains, has five copies and 5! = 120 leaves.
+# Default size guard for isomorphism tests.  The canonical form's search
+# has exactly |Aut| smallest-form leaves, less twin swaps it skips; at 10
+# points the worst family, disjoint 2-chains, has five copies and 5! = 120.
 ISO_GUARD = 10
 
 
@@ -225,10 +226,17 @@ def build_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
 
 def covers(P: Poset) -> list[tuple[str, str]]:
     """The transitive reduction: pairs (x, y), x < y with nothing between, by
-    index of x then y; ``_lower_covers`` finds them without P's up rows."""
+    index of x then y; ``_lower_covers`` finds them without P's up rows.
+    When the index order is already a linear extension (as for chains,
+    cubes and canonical forms) the strict rows are read as they are."""
     down, names = P.down_rows, P.elements
-    order = sorted(range(len(P)), key=lambda i: down[i].bit_count())
-    lower = _lower_covers(_ranked(down, order)[1])
+    if all(row >> i == 1 for i, row in enumerate(down)):
+        order: Sequence[int] = range(len(P))
+        below = [row ^ 1 << i for i, row in enumerate(down)]
+    else:
+        order = sorted(range(len(P)), key=lambda i: down[i].bit_count())
+        below = _ranked(down, order)[1]
+    lower = _lower_covers(below)
     pairs = sorted((order[s], order[t]) for t, row in enumerate(lower) for s in _bits(row))
     return [(names[x], names[y]) for x, y in pairs]
 
@@ -414,8 +422,8 @@ def _refine(down: list[list[int]], up: list[list[int]], colour: list[int]) -> li
     return colour
 
 
-def _canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """A canonical relabeling: equal results iff the posets are isomorphic.
+def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """A canonical relabeling, equal iff the posets are isomorphic, and |Aut|.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism II", 2014).  Points start coloured by their numbers of
@@ -425,12 +433,22 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     first such cell is searched: each of its points in turn takes the
     cell's first position and the colouring is refined again.  The
     canonical form is the smallest relabeled row tuple over all leaves.
+    Strict comparability strictly grows down-set sizes, so cell order
+    refines the poset order and the result is naturally labeled.
+
+    The refinement and the choice of target cell are label-invariant, so
+    Aut acts on the search tree, and freely on its leaves (discrete
+    colourings).  Two leaves give the same form iff they differ by an
+    automorphism, so the tree has exactly |Aut| leaves of smallest form.
     Only one point per twin class (same strict down-set and up-set) is
-    tried, since swapping twins is an automorphism, so the leaves number
-    about |Aut| modulo twin swaps: one for an antichain, 24 for
-    hypercube(4), 120 for five disjoint 2-chains.  Strict comparability
-    strictly grows down-set sizes, so cell order refines the poset order
-    and the result is naturally labeled.
+    tried: swapping two twins not yet individualized is an automorphism
+    fixing the points individualized so far, so the skipped sibling
+    subtrees are isomorphic to the one searched.  A branch therefore
+    counts its smallest-form leaves times the number of its point's
+    twins in the cell, and only branches reaching the smallest form are
+    summed.  The leaves visited number about |Aut| modulo twin swaps:
+    one for an antichain (|Aut| = n!), 24 for hypercube(4), 120 for five
+    disjoint 2-chains.
     """
     n = len(rows)
     down = [[j for j in _bits(row) if j != i] for i, row in enumerate(rows)]
@@ -441,19 +459,25 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     twins: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     twin_of = [twins.setdefault((tuple(down[i]), tuple(up[i])), i) for i in range(n)]
 
-    def smallest(colour: list[int]) -> tuple[int, ...]:
+    def smallest(colour: list[int]) -> tuple[tuple[int, ...], int]:
         cells = set(colour)
         if len(cells) == n:
-            return _relabel(rows, tuple(colour))
+            return _relabel(rows, tuple(colour)), 1
         target = min(c for c in cells if colour.count(c) > 1)
-        tried: set[int] = set()
-        forms: list[tuple[int, ...]] = []
-        for v in range(n):
-            if colour[v] == target and twin_of[v] not in tried:
-                tried.add(twin_of[v])
+        # the twin class of each point in the target cell, -1 outside it;
+        # only the first point of each class is tried
+        kinds = [twin_of[v] if c == target else -1 for v, c in enumerate(colour)]
+        best, leaves = None, 0
+        for v, kind in enumerate(kinds):
+            if kind >= 0 and kinds.index(kind) == v:
                 nxt = [c + (c == target and i != v) for i, c in enumerate(colour)]
-                forms.append(smallest(_refine(down, up, nxt)))
-        return min(forms)
+                form, k = smallest(_refine(down, up, nxt))
+                k *= kinds.count(kind)
+                if best is None or form < best:
+                    best, leaves = form, k
+                elif form == best:
+                    leaves += k
+        return best, leaves
 
     start = _cell_starts([(len(down[i]), len(up[i])) for i in range(n)])
     return smallest(_refine(down, up, start))
@@ -468,7 +492,7 @@ def is_isomorphic(P: Poset, Q: Poset, guard: int = ISO_GUARD) -> bool:
         return False
     if len(P) > guard:
         raise TooLarge(f"isomorphism guard is {guard} elements")
-    return _canonical_rows(P.down_rows) == _canonical_rows(Q.down_rows)
+    return _canonical_rows(P.down_rows)[0] == _canonical_rows(Q.down_rows)[0]
 
 
 def structure_stats(P: Poset) -> StructureStats:

@@ -520,13 +520,14 @@ def contractible_embedding(P: Poset) -> CubeEmbedding:
     return _replay_deflation(core(P))
 
 
-def _replay_deflation(trace: CoreTrace) -> CubeEmbedding:
-    """contractible_embedding(trace.start), replaying a deflation already computed."""
+def _replay_deflation(trace: CoreTrace, max_size: int = SIZE_GUARD) -> CubeEmbedding:
+    """contractible_embedding(trace.start), replaying a deflation already computed;
+    max_size caps the core's exact embedding as in ``two_dimension``."""
     P, base = trace.start, trace.core
     if len(base) == 1:
         width, masks = 0, {base.elements[0]: 0}
     else:
-        E = two_dimension(base).witness
+        E = two_dimension(base, max_size).witness
         width, masks = E.width, dict(E.masks)
     alive = sum(1 << P.index(x) for x in base.elements)
     for w in reversed(trace.removals):

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import random
 
 import pytest
 
@@ -15,7 +17,7 @@ from finposet import (
 )
 from finposet import census, homotopy
 from finposet.census import CHECKS, enumerate_posets
-from finposet.core import _canonical_rows
+from finposet.core import _canonical_rows, _relabel
 from oracles import census_check_brute, exact_dim
 
 
@@ -127,6 +129,25 @@ def test_unlabeled_count_8():
     assert digest(reps) == UNLABELED_DIGESTS[8]
 
 
+def test_orbit_sizes_are_factorial_over_automorphisms():
+    for n in range(7):
+        classes, automorphisms, _ = census._iso_classes(n)
+        assert [len(census._orbit(P.down_rows)) for P in classes] == [
+            math.factorial(n) // a for a in automorphisms
+        ]
+
+
+def test_automorphisms_and_form_survive_relabeling():
+    classes, automorphisms, _ = census._iso_classes(8)
+    rng = random.Random(8)
+    by_symmetry = sorted(range(len(classes)), key=automorphisms.__getitem__)
+    for k in by_symmetry[-20:] + rng.sample(by_symmetry, 200):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        rows = classes[k].down_rows
+        assert _canonical_rows(_relabel(rows, perm)) == (rows, automorphisms[k])
+
+
 def counting(monkeypatch, name, fn):
     """Replace census.<name> by fn wrapped in a call counter."""
     calls = []
@@ -231,6 +252,17 @@ def test_census_check_expands_failing_orbits(monkeypatch):
     assert bad == brute.results[0].counterexamples
     unlabeled = census_check(4, ["no-maximum"], up_to_iso=True).results[0]
     assert (unlabeled.posets, len(unlabeled.counterexamples)) == (16, 5)
+
+
+def test_passing_labeled_census_expands_no_orbit(monkeypatch):
+    # a passing class counts as n!/|Aut| labeled posets without listing them
+    def fail(rows):
+        raise AssertionError("a passing class was expanded into its orbit")
+
+    monkeypatch.setattr(census, "_orbit", fail)
+    counts = [census_check(n, ["antichain-bijection"]).results[0].posets for n in range(7)]
+    assert counts == [1, 1, 3, 19, 219, 4231, 130023]  # OEIS A001035
+    assert census_check(5, ["bounds"]).format_lines() == ["CHECK bounds posets=4231 counterexamples=0"]
 
 
 def test_census_check_edge_and_scale():

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from finposet import (
@@ -167,6 +173,21 @@ def test_header_words_as_element_names_verify(tmp_path, capsys, name):
         assert (code, out, err) == (0, "valid true\n", "")
 
 
+def test_embed_contractible_honours_max_size(tmp_path, capsys):
+    # suspension(antichain(2), 6) is its own 14-point core, embedded exactly
+    poset_path = tmp_path / "s14.poset"
+    poset_path.write_text(format_poset(suspension(antichain(2), 6)))
+    embed = ["embed", str(poset_path), "--method", "contractible", "--max-size"]
+    code, out, err = run(capsys, *embed, "12")
+    assert (code, out) == (1, "")
+    assert "capped at 12" in err
+    code, out, err = run(capsys, *embed, "14")
+    assert code == 0 and out.startswith("width 14\n")
+    emb_path = tmp_path / "s14.emb"
+    emb_path.write_text(out)
+    assert run(capsys, "verify", str(poset_path), str(emb_path)) == (0, "valid true\n", "")
+
+
 def test_verify_rejects_tampered_embedding(tmp_path, capsys):
     poset_path = write_chain(tmp_path, 3)
     code, out, err = run(capsys, "embed", poset_path)
@@ -311,3 +332,44 @@ def test_deterministic_stdout(tmp_path, capsys):
     _, first, _ = run(capsys, "dim", path)
     _, second, _ = run(capsys, "dim", path)
     assert first == second
+
+
+def test_dispatch_calls_share_no_options(tmp_path, capsys):
+    path = write_chain(tmp_path, 5)
+    capped, full = ["dim", path, "--max-size", "3"], ["dim", path]
+    outputs = [run(capsys, *argv) for argv in (capped, full, capped, full)]
+    assert outputs[0] == outputs[2] == (0, "bounds 4..4\n", "")
+    assert outputs[1] == outputs[3]
+    assert outputs[1][1].startswith("value 4\nexhausted_below true\nwidth 4\n")
+    code, out, err = run(capsys, "dim", path, "--max-size", "x")
+    assert code == 2 and "invalid int value" in err
+    assert run(capsys, *full) == outputs[1]
+
+
+def test_parser_built_at_first_dispatch_and_reused():
+    # importing the CLI builds no parser, so start-up stays cheap; the
+    # first dispatch builds it and every later one reuses it
+    script = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kw):
+    built.append(self)
+    init(self, *args, **kw)
+argparse.ArgumentParser.__init__ = counted
+from finposet import cli
+counts = [len(built)]
+for argv in (["make", "chain", "2"], ["frobnicate"], ["make", "antichain", "2"]):
+    cli.dispatch(argv)
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert counts[0] == 0 and counts[1] > 0
+    assert counts[1:] == [counts[1]] * 3

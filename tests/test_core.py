@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -20,7 +21,16 @@ from finposet import (
     topology_census,
 )
 from finposet.census import enumerate_posets
-from finposet.core import _bits, _down_sets, disjoint_union, induced_subposet, opposite, product
+from finposet.core import (
+    _bits,
+    _canonical_rows,
+    _down_sets,
+    _relabel,
+    disjoint_union,
+    induced_subposet,
+    opposite,
+    product,
+)
 from oracles import (
     MonotoneMap,
     covers_brute,
@@ -93,6 +103,20 @@ def test_covers_match_brute_force_oracle():
         assert covers(P) == covers_brute(P)
     tower = suspension(antichain(2), 99)
     assert covers(tower) == covers_brute(tower)
+
+
+def test_covers_in_natural_and_shuffled_order():
+    # the cube's index order is a linear extension; a shuffled copy's is not
+    P = hypercube(5)
+    assert covers(P) == covers_brute(P)
+    perm = list(range(len(P)))
+    random.Random(5).shuffle(perm)
+    names = [""] * len(P)
+    for i, x in enumerate(P.elements):
+        names[perm[i]] = x
+    Q = Poset(names, _relabel(P.down_rows, perm))
+    assert covers(Q) == covers_brute(Q)
+    assert set(covers(Q)) == set(covers(P))
 
 
 def test_minimal_open_sets():
@@ -295,6 +319,17 @@ def one_cover_changed(P):
         if not P.leq(x, y) and not P.leq(y, x):
             out.append(build_poset(P.elements, pairs + [(x, y)]))
     return out
+
+
+def test_canonical_rows_counts_automorphisms():
+    twos = chain(2)
+    for _ in range(4):
+        twos = disjoint_union(twos, chain(2))
+    pinned = [(antichain(n), math.factorial(n)) for n in range(7)]
+    pinned += [(chain(n), 1) for n in range(1, 6)]
+    pinned += [(hypercube(3), 6), (hypercube(4), 24), (twos, 120)]
+    for P, automorphisms in pinned:
+        assert _canonical_rows(P.down_rows)[1] == automorphisms
 
 
 def test_is_isomorphic_matches_brute_force_oracle():
