@@ -3,34 +3,34 @@ Realizing every admissible 2-dimension on n points
 ===================================================
 
 An n-point poset always has 2-dimension between ceil(log2 n) and n.
-Both ends are tight, and every value in between occurs.  The family
-module walks a sequence of n-point posets from a piece of the
-hypercube (dimension ceil(log2 n)) to a chain (dimension n - 1), one
-cone step at a time, so consecutive dimensions differ by at most one;
-the top value n is reached by suspension ladders instead.
+Both ends are tight, and every value in between occurs.  For m < n,
+realize(n, m) orders by inclusion the chain of masks 0, 1, 3, ...,
+2^m - 1 plus the first other masks below 2^m: its height m forces
+d >= m, the masks themselves embed it at width m, and "0" is a minimum,
+so it is contractible.  No solver is needed; here two_dimension only
+confirms it.  The top value n is reached by suspension ladders instead.
 """
 
-from finposet import construction_sequence, is_contractible, realize, two_dimension
-from finposet.io import format_certificate, format_poset
+from finposet import (
+    format_certificate,
+    format_poset,
+    is_contractible,
+    realize,
+    structure_stats,
+    two_dimension,
+)
 
 n = 6
-seq = construction_sequence(n)
-dims = [two_dimension(P).value for P in seq]
-print("sequence of %d-point posets, dimensions: %s" % (n, dims))
-assert dims[0] == (n - 1).bit_length()
-assert dims[-1] == n - 1
-assert all(b - a <= 1 for a, b in zip(dims, dims[1:]))
-
-# realize picks a poset of the requested size and dimension and
-# guarantees contractibility whenever the dimension is below n.
 for m in range((n - 1).bit_length(), n + 1):
     P = realize(n, m)
-    cert = two_dimension(P)
-    tag = "contractible" if is_contractible(P) else "not contractible"
-    print("n=%d m=%d: realized, %s" % (n, m, tag))
-    assert len(P) == n and cert.value == m
+    height = structure_stats(P).height
+    contractible = is_contractible(P)
+    kind = "masks" if m < n else "suspension ladder"
+    masks = " ".join(P.elements)
+    print("n=%d m=%d: %s %s, height %d, contractible %s" % (n, m, kind, masks, height, contractible))
     if m < n:
-        assert is_contractible(P)
+        assert height == m and contractible
+    assert len(P) == n and two_dimension(P).value == m
 
 # The m = 3 witness on 6 points, with its certificate.
 P = realize(6, 3)

@@ -52,7 +52,7 @@ from .errors import (
     UnknownCheck,
     UnknownElement,
 )
-from .family import construction_sequence, realize
+from .family import realize
 # This binds the package attribute ``core`` to the function homotopy.core,
 # which shadows the submodule finposet.core: ``import finposet.core as c``
 # gives the function.  ``from finposet.core import Poset`` still reaches the
@@ -105,7 +105,6 @@ __all__ = [
     "census_check",
     "chain",
     "cone",
-    "construction_sequence",
     "contractible_embedding",
     "core",
     "covers",

@@ -114,7 +114,7 @@ def _cmd_make(args: argparse.Namespace) -> int:
         P = suspension(_read_poset(args.file), args.folds)
     else:
         P = realize(args.family_n, args.family_m)
-        cert = two_dimension(P, max_size=len(P))
+        cert = two_dimension(P)
     _emit(format_poset(P), args.output)
     if cert is not None:
         sys.stdout.write(format_certificate(cert))

@@ -1,66 +1,38 @@
-"""Families of n-point spaces realizing every admissible 2-dimension.
+"""n-point spaces realizing every admissible 2-dimension, built directly.
 
 For n points the possible values run from ceil(log2 n) (forced by
-counting) up to n.  A sweep from the low end to n-1 comes from starting
-inside a minimal cube and repeatedly trading one old point for a cone
-apex: removing a point cannot raise the dimension and coning raises it
-by at most one, while the sweep provably ends at a chain.  The top value
-n is hit by iterated suspensions of the 2- and 3-point antichains.
+counting) up to n.  For m < n the space is the subset masks 0, 1, 3,
+..., 2^m - 1 (a chain of m + 1 subsets of {0..m-1}) plus the first
+n - m - 1 other masks below 2^m, ordered by inclusion:
+- its height is m, so d >= m (lower_bound);
+- the masks embed it at width m, so d <= m;
+- "0" is a minimum, so it is contractible.
+For m = n, d(SX) = d(X) + 2 lifts the 2- and 3-point antichains
+(d = 2 and 3) by iterated suspension.
 """
 
 from __future__ import annotations
 
-from .constructions import antichain, cone, hypercube, suspension
-from .core import Poset, induced_subposet, remove_element
-from .dimension import two_dimension
+from itertools import islice
+
+from .constructions import antichain, suspension
+from .core import Poset
 from .errors import OutOfRange
 
-FAMILY_GUARD = 10
 
+def realize(n: int, m: int) -> Poset:
+    """An n-point space with 2-dimension exactly m, contractible for m < n.
 
-def construction_sequence(n: int, guard: int = FAMILY_GUARD) -> list[Poset]:
-    """n-point spaces X_1 .. X_n whose 2-dimensions sweep ceil(log2 n) to n-1.
-
-    X_1 is the subposet of the ceil(log2 n)-cube on the bottom n-1 masks
-    plus the top, so its dimension meets the counting lower bound.  Each
-    later term removes the oldest original point and cones over the rest;
-    consecutive dimensions differ by at most +1 and the last term is a
-    chain, so every value in between is realized somewhere in the list.
+    Elements are named by their decimal masks, as in hypercube.
     """
     if n < 2:
         raise OutOfRange("need at least two points")
-    if n > guard:
-        raise OutOfRange(f"family construction is capped at {guard} points; pass guard to override")
-    q = (n - 1).bit_length()
-    cube = hypercube(q)
-    top = str((1 << q) - 1)
-    originals = [str(mask) for mask in range(n - 1)]
-    out = [induced_subposet(cube, originals + [top])]
-    for u in originals:
-        out.append(cone(remove_element(out[-1], u)))
-    return out
-
-
-def realize(n: int, m: int, guard: int = FAMILY_GUARD) -> Poset:
-    """An n-point space with 2-dimension exactly m.
-
-    Admissible m run from ceil(log2 n) up to n.  m = n needs iterated
-    suspensions: of a 2-point antichain when n is even, of a 3-point one
-    when n is odd.  Below that the sweep is scanned with the exact
-    solver, so the result for m < n is always contractible.
-    """
-    if n < 2:
-        raise OutOfRange("need at least two points")
-    if n > guard:
-        raise OutOfRange(f"family construction is capped at {guard} points; pass guard to override")
-    low = (n - 1).bit_length()
-    if m < low or m > n:
+    if m < (n - 1).bit_length() or m > n:
         raise OutOfRange(f"no {n}-point space has 2-dimension {m}")
     if m == n:
-        if n % 2 == 0:
-            return suspension(antichain(2), (n - 2) // 2)
-        return suspension(antichain(3), (n - 3) // 2)
-    for P in construction_sequence(n, guard=guard):
-        if two_dimension(P, max_size=len(P)).value == m:
-            return P
-    raise AssertionError("unreachable: the sweep passes through every admissible value")
+        return suspension(antichain(2 + n % 2), (n - 2) // 2)
+    # x & (x + 1) is 0 exactly on the chain masks 2^k - 1
+    extra = islice((x for x in range(1 << m) if x & (x + 1)), n - m - 1)
+    masks = sorted([(1 << k) - 1 for k in range(m + 1)] + list(extra))
+    rows = [sum(1 << j for j, y in enumerate(masks) if y & x == y) for x in masks]
+    return Poset([str(x) for x in masks], rows)

@@ -239,6 +239,23 @@ def test_make_family(tmp_path, capsys):
     assert out.splitlines()[0] == "value 3"
 
 
+def test_make_family_certifies_up_to_the_cap(tmp_path, capsys):
+    poset_path, cert_path = str(tmp_path / "fam.poset"), tmp_path / "fam.cert"
+    for m in (4, 12):
+        code, out, err = run(capsys, "make", "family", "--n", "12", "--m", str(m), "-o", poset_path)
+        assert code == 0 and out.splitlines()[0] == f"value {m}"
+        cert_path.write_text(out)
+        code, out, err = run(capsys, "verify", poset_path, str(cert_path))
+        assert code == 0 and out == "valid true\n"
+
+
+def test_make_family_above_the_cap(capsys):
+    # the construction is uncapped, but its certificate takes the exact-dimension cap
+    code, out, err = run(capsys, "make", "family", "--n", "13", "--m", "4")
+    assert code == 1 and out == ""
+    assert err == "error: exact 2-dimension is capped at 12 elements; pass max_size to override\n"
+
+
 def test_make_family_out_of_range(capsys):
     code, out, err = run(capsys, "make", "family", "--n", "8", "--m", "2")
     assert code == 1

@@ -1,11 +1,11 @@
 import pytest
 
 from finposet import (
+    CubeEmbedding,
     OutOfRange,
     antichain,
-    beat_points,
     chain,
-    construction_sequence,
+    core,
     hypercube,
     is_contractible,
     is_isomorphic,
@@ -13,54 +13,32 @@ from finposet import (
     structure_stats,
     suspension,
     two_dimension,
+    verify_embedding,
 )
 
 
-def test_sequence_smallest_case():
-    seq = construction_sequence(2)
-    assert len(seq) == 2
-    for X in seq:
-        assert is_isomorphic(X, chain(2))
+def test_realize_proves_its_value():
+    # the construction's own proof, with no solver: height m gives d >= m,
+    # the element names read as masks give d <= m, and "0" is a minimum
+    for n in range(2, 65):
+        for m in range((n - 1).bit_length(), n + 1):
+            P = realize(n, m)
+            assert len(P) == n
+            if m == n:
+                assert structure_stats(P).height == (n - 2) // 2
+                assert core(P).removals == ()  # its own core
+                continue
+            assert structure_stats(P).height == m
+            E = CubeEmbedding(P, m, {x: int(x) for x in P})
+            assert verify_embedding(E), (n, m)
+            assert P.minimum() == "0"
 
 
-def test_sequence_shape():
-    for n in range(2, 8):
-        seq = construction_sequence(n)
-        assert len(seq) == n
-        for X in seq:
-            assert len(X) == n
-            assert X.maximum() is not None
-            assert is_contractible(X)
-        # last term is a chain
-        assert structure_stats(seq[-1]).height == n - 1
-
-
-def test_sequence_starts_at_cube_subposet():
-    assert is_isomorphic(construction_sequence(4)[0], hypercube(2))
-    X1 = construction_sequence(6)[0]
-    assert len(X1) == 6 and X1.maximum() == "7"
-
-
-def test_sequence_dimension_sweep():
-    for n in range(2, 8):
-        dims = [two_dimension(X).value for X in construction_sequence(n)]
-        assert dims[0] == (n - 1).bit_length()
-        assert dims[-1] == n - 1
-        for a, b in zip(dims, dims[1:]):
-            assert b <= a + 1
-        # every admissible value below n appears
-        assert set(range((n - 1).bit_length(), n)) <= set(dims)
-
-
-def test_cone_point_is_down_beat():
-    for n in range(2, 8):
-        seq = construction_sequence(n)
-        for X in seq[1:]:
-            apex = X.elements[-1]
-            assert apex.startswith("*")
-            assert any(
-                w.point == apex and w.kind == "down" for w in beat_points(X)
-            )
+def test_realize_special_cases():
+    for m in range(1, 7):
+        assert realize(2**m, m) == hypercube(m)
+    for n in range(2, 11):
+        assert is_isomorphic(realize(n, n - 1), chain(n))
 
 
 def test_realize_top_values():
@@ -78,7 +56,8 @@ def test_realize_interior_value():
 
 
 def test_realize_full_range_small():
-    for n in range(2, 7):
+    # the exact cross-check: every admissible value on up to 12 points
+    for n in range(2, 13):
         low = (n - 1).bit_length()
         for m in range(low, n + 1):
             P = realize(n, m)
@@ -90,7 +69,6 @@ def test_realize_full_range_small():
 
 def test_realize_deterministic():
     assert realize(5, 3) == realize(5, 3)
-    assert construction_sequence(5) == construction_sequence(5)
 
 
 def test_realize_out_of_range():
@@ -100,10 +78,3 @@ def test_realize_out_of_range():
         realize(4, 5)  # above the size bound
     with pytest.raises(OutOfRange):
         realize(1, 0)
-    with pytest.raises(OutOfRange):
-        realize(11, 4)
-    with pytest.raises(OutOfRange):
-        construction_sequence(1)
-    with pytest.raises(OutOfRange):
-        construction_sequence(11)
-    assert len(construction_sequence(11, guard=11)) == 11

@@ -136,6 +136,15 @@ def test_maximum_implies_contractible():
                 assert is_contractible(P)
 
 
+def test_cone_point_is_down_beat():
+    # over a poset with a maximum, the apex covers only that maximum
+    for P in (cone(antichain(2)), chain(3)):
+        X = cone(P)
+        apex = X.elements[-1]
+        assert apex.startswith("*")
+        assert (apex, "down", P.maximum()) in witness_triples(X)
+
+
 def test_opposite_swaps_beat_kinds():
     flip = {"up": "down", "down": "up"}
     for n in range(1, 6):

@@ -47,13 +47,27 @@ def test_oracles_share_no_private_code():
     assert private_finposet_imports(ORACLES.read_text(encoding="utf-8")) == []
 
 
+def module_guards() -> dict[str, int]:
+    """Every module-level ``*_GUARD`` constant of the package, by name."""
+    return {
+        target.id: getattr(importlib.import_module(f"finposet.{stem}"), target.id)
+        for stem, tree in parsed_modules().items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_GUARD")
+    }
+
+
 def test_readme_quotes_cover_constants():
-    # README states the selector's constants in prose; a changed constant must change the text
+    # README states the selector's constants and every cap in prose; a changed constant must change the text
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
-    quoted = re.findall(r"`(COVER_LIMIT|COVER_MIN_SIZE)`\s*(?:\(|=\s*)(\d+)", readme)
-    assert {name for name, _ in quoted} == {"COVER_LIMIT", "COVER_MIN_SIZE"}
+    constants = {name: getattr(dimension, name) for name in ("COVER_LIMIT", "COVER_MIN_SIZE")} | module_guards()
+    assert {"SIZE_GUARD", "ISO_GUARD", "HYPERCUBE_GUARD"} < set(constants)
+    quoted = re.findall(rf"`({'|'.join(constants)})`\s*(?:\(|=\s*)(\d+)", readme)
+    assert {name for name, _ in quoted} == set(constants)
     for name, value in quoted:
-        assert int(value) == getattr(dimension, name), name
+        assert int(value) == constants[name], name
 
 
 def test_benchmark_span_metrics_name_public_functions():
