@@ -23,7 +23,7 @@ from .dimension import (
     upper_bound,
     verify_embedding,
 )
-from .errors import FormatError, PosetError
+from .errors import FormatError, PosetError, TooLarge
 from .family import realize
 from .homotopy import _beat_points_and_core, core
 from .io import (
@@ -114,6 +114,11 @@ def _cmd_make(args: argparse.Namespace) -> int:
         P = suspension(_read_poset(args.file), args.folds)
     else:
         P = realize(args.family_n, args.family_m)
+        # the certificate is an exact 2-dimension, which make family runs at the default cap
+        if len(P) > SIZE_GUARD:
+            raise TooLarge(
+                f"make family certifies its poset by an exact 2-dimension, capped at {SIZE_GUARD} points"
+            )
         cert = two_dimension(P)
     _emit(format_poset(P), args.output)
     if cert is not None:

@@ -31,6 +31,13 @@ CENSUS_GUARD = 20
 # has exactly |Aut| smallest-form leaves, less twin swaps it skips; at 10
 # points the worst family, disjoint 2-chains, has five copies and 5! = 120.
 ISO_GUARD = 10
+# _ranked transposes by block swaps, and structure_stats walks lower
+# covers instead of all strict pairs, when the rows hold at least this
+# many strict pairs per point (_dense), so from 2 * 8 + 1 = 17 points up.
+# A transpose costs about the same at any density and the pair walk
+# grows with the pairs: on random posets of 16-300 points the two broke
+# even at 5-7 pairs per point for _ranked and 9-12 for structure_stats.
+TRANSPOSE_MIN_DEGREE = 8
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -347,12 +354,75 @@ def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.
     return sets if len(sets) <= limit else None
 
 
+def _dense(rows: Sequence[int]) -> bool:
+    """Whether the reflexive rows hold ``TRANSPOSE_MIN_DEGREE`` strict pairs per point."""
+    n = len(rows)
+    return n > 2 * TRANSPOSE_MIN_DEGREE and sum(map(int.bit_count, rows)) - n >= TRANSPOSE_MIN_DEGREE * n
+
+
+def _swap_mask(N: int, j: int) -> int:
+    """The bits (r, c) = r*N + c of an N x N matrix with r & j == 0 and c & j != 0.
+
+    One row is a byte pattern repeated in C (runs of j ones at j, 3j, ...);
+    each doubling step then copies the rows so far above themselves.
+    """
+    if j >= 8:
+        cols = (bytes(j // 8) + b"\xff" * (j // 8)) * (N // (2 * j))
+    else:
+        cols = bytes([(0xAA, 0xCC, 0, 0xF0)[j - 1]]) * (N // 8)
+    mask = int.from_bytes(cols, "little")
+    k = 1
+    while k < N:
+        if k != j:  # rows r + j stay clear
+            mask |= mask << k * N
+        k *= 2
+    return mask
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    """The transpose of an n x n bit matrix: bit i of out[j] is bit j of rows[i].
+
+    The rows are packed into one integer, N bits per row, N the power of two
+    at least max(n, 8), and the N x N matrix is transposed by recursive block
+    swaps (Warren, Hacker's Delight, 2nd ed., section 7-3).  The round for
+    j = N/2, ..., 1 swaps the two off-diagonal j x j quarters of every
+    2j x 2j block: bit (r, c) with r & j == 0 and c & j != 0 trades
+    places with bit (r + j, c - j), s = j(N - 1) positions higher.  So a transpose is O(n) Python steps to pack and
+    unpack plus O(log n) big-int operations on N^2 bits.  The masks are
+    built per call: a table kept for reuse would grow with the largest N
+    seen (about 100 MB at N = 8192).
+    """
+    N = max(8, 1 << (n - 1).bit_length())
+    width = N // 8
+    M = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]), "little")
+    j = N // 2
+    while j:
+        s = j * (N - 1)
+        t = (M ^ M >> s) & _swap_mask(N, j)
+        M ^= t | t << s
+        j //= 2
+    data = M.to_bytes(n * width, "little")
+    return [int.from_bytes(data[k : k + width], "little") for k in range(0, n * width, width)]
+
+
 def _ranked(rows: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """Down rows relabeled to positions in order (a permutation, usually a linear
-    extension), in one walk over the comparable pairs: rank[i] is the position of
-    index i, and below[t] and above[t] the strict down- and up-sets at position t."""
+    extension): rank[i] is the position of index i, and below[t] and above[t] the
+    strict down- and up-sets at position t.
+
+    Dense rows (``_dense``) take two transposes: the rows taken in order
+    and transposed are the up rows of the indices over positions, those
+    taken in order are the up rows over positions, and their transpose is
+    the down rows over positions.  Other rows walk the comparable pairs,
+    which is faster there.
+    """
     n = len(order)
     rank = sorted(range(n), key=order.__getitem__)  # the inverse permutation of order
+    if _dense(rows):
+        up = _transpose([rows[i] for i in order], n)
+        above = [up[i] for i in order]  # reflexive
+        below = [row ^ 1 << t for t, row in enumerate(_transpose(above, n))]
+        return rank, below, [row ^ 1 << t for t, row in enumerate(above)]
     below, above = [0] * n, [0] * n
     for t, i in enumerate(order):
         bit = 1 << t
@@ -500,24 +570,38 @@ def structure_stats(P: Poset) -> StructureStats:
 
     The extension is the lexicographically least one: each step takes the
     first element, in declared order, whose strict down-set is already
-    placed.  One pass finds it: every element counts its unplaced strict
+    placed.  One pass finds it: every element counts its unplaced
     predecessors, and a heap holds the elements whose count is zero.
-    Placing an element lowers the counts of its strict successors and
-    passes them its depth plus one, so the height falls out of the same
-    pass.
+    Placing an element lowers the counts of its successors and passes
+    them its depth plus one, so the height falls out of the same pass.
+    On dense rows (``_dense``) predecessors and successors are lower and
+    upper covers (read off ``_ranked`` along the down-set sizes), else
+    all strict pairs.  Both give the same pass: the placed set is
+    down-closed, so a point's strict down-set is placed exactly when its
+    lower covers are, and a longest chain is a chain of covers.
     """
     n = len(P)
+    rows = P.down_rows
     succ: list[list[int]] = [[] for _ in range(n)]
     count = [0] * n
-    ready = []
-    for i, row in enumerate(P.down_rows):
-        strict = row ^ (1 << i)
-        if strict:
-            count[i] = strict.bit_count()
-            for j in _bits(strict):
-                succ[j].append(i)
-        else:
-            ready.append(i)
+    if _dense(rows):
+        order = sorted(range(n), key=lambda i: rows[i].bit_count())
+        for t, lower in enumerate(_lower_covers(_ranked(rows, order)[1])):
+            i = order[t]
+            count[i] = lower.bit_count()
+            for s in _bits(lower):
+                succ[order[s]].append(i)
+        ready = [i for i, c in enumerate(count) if not c]
+    else:
+        ready = []
+        for i, row in enumerate(rows):
+            strict = row ^ (1 << i)
+            if strict:
+                count[i] = strict.bit_count()
+                for j in _bits(strict):
+                    succ[j].append(i)
+            else:
+                ready.append(i)
     depth = [0] * n
     ext_idx: list[int] = []
     while ready:

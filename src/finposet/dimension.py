@@ -64,8 +64,10 @@ class CubeEmbedding:
         return self.masks[x]
 
     def bitstring(self, x: str) -> str:
-        m = self.mask_of(x)
-        return "".join("1" if m >> i & 1 else "0" for i in range(self.width))
+        """Bits 0..width-1 of x's mask, coordinate 0 first.  A sentinel bit
+        at width keeps the leading zeros; reversing drops it."""
+        w = self.width
+        return format(self.mask_of(x) & ((1 << w) - 1) | 1 << w, "b")[:0:-1]
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ only candidate maximum its highest: each status test is a constant
 number of big-int operations on n-bit rows.  A removal re-tests only the
 comparable points whose status it can change (those without a witness
 on that side, and those it was the witness of).  Set-up is one
-relabel-and-transpose pass over the comparable pairs (``core._ranked``).
-On a shared 2-vCPU VM ``core(chain(800))`` takes about 0.09 s (0.11 s
-when declared in a shuffled order); rebuilding the poset after every
-removal took 107 s.
+``core._ranked`` call, two bit-matrix transposes by block swaps on
+dense rows.  On a shared 2-vCPU VM ``core(chain(800))`` takes about
+0.017 s (0.02 s when declared in a shuffled order), against 0.16-0.19 s
+when the set-up walked the 319,600 comparable pairs one by one (both
+timed back to back); rebuilding the poset after every removal
+took 107 s.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class _Deflation:
 
     Positions are ranks along a linear extension (sorting by down-set
     size), and ``rows[UP]``/``rows[DOWN]`` hold the strict up and down
-    rows over ranks, both from one pass of ``core._ranked``.
+    rows over ranks, both from one ``core._ranked`` call.
     ``witness[kind][r]`` is the rank of r's witness or -1, and
     ``witnessed[kind][m]`` the mask of points whose witness is m.
     ``codes`` has bit 2i set when P.elements[i] is an up beat point and

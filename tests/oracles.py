@@ -241,6 +241,23 @@ def covers_brute(P: Poset) -> list[tuple[str, str]]:
     return [(x, y) for x in elements for y in elements if y in above[x] and above[x].isdisjoint(below[y])]
 
 
+def ranked_rows_brute(rows: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The position of every index in order, and the strict down and up rows over positions.
+
+    Each pair of positions is tested on its own: s lies below t when
+    s != t and index order[s] is in the reflexive down row of order[t].
+    """
+    n = len(order)
+    rank = [list(order).index(i) for i in range(n)]
+
+    def lies_below(s: int, t: int) -> bool:
+        return s != t and bool(rows[order[t]] >> order[s] & 1)
+
+    below = [sum(1 << s for s in range(n) if lies_below(s, t)) for t in range(n)]
+    above = [sum(1 << s for s in range(n) if lies_below(t, s)) for t in range(n)]
+    return rank, below, above
+
+
 def topology_census_brute(P: Poset) -> tuple[int, int]:
     """(open sets, antichains) by testing every subset of the points.
 

@@ -250,10 +250,12 @@ def test_make_family_certifies_up_to_the_cap(tmp_path, capsys):
 
 
 def test_make_family_above_the_cap(capsys):
-    # the construction is uncapped, but its certificate takes the exact-dimension cap
+    # the construction is uncapped, but its certificate takes the exact-dimension cap;
+    # make family has no size option, so the message must not point to one
     code, out, err = run(capsys, "make", "family", "--n", "13", "--m", "4")
     assert code == 1 and out == ""
-    assert err == "error: exact 2-dimension is capped at 12 elements; pass max_size to override\n"
+    assert err == "error: make family certifies its poset by an exact 2-dimension, capped at 12 points\n"
+    assert "max_size" not in err and "max-size" not in err
 
 
 def test_make_family_out_of_range(capsys):

@@ -22,10 +22,14 @@ from finposet import (
 )
 from finposet.census import enumerate_posets
 from finposet.core import (
+    TRANSPOSE_MIN_DEGREE,
     _bits,
     _canonical_rows,
+    _dense,
     _down_sets,
+    _ranked,
     _relabel,
+    _transpose,
     disjoint_union,
     induced_subposet,
     opposite,
@@ -36,6 +40,7 @@ from oracles import (
     covers_brute,
     is_initial_map,
     is_isomorphic_brute,
+    ranked_rows_brute,
     structure_stats_rescan,
     topology_census_brute,
 )
@@ -105,18 +110,54 @@ def test_covers_match_brute_force_oracle():
     assert covers(tower) == covers_brute(tower)
 
 
+def declared_shuffled(P, seed):
+    """P with its points declared in a random order, rows relabeled to match."""
+    perm = list(range(len(P)))
+    random.Random(seed).shuffle(perm)
+    names = [""] * len(P)
+    for i, x in enumerate(P.elements):
+        names[perm[i]] = x
+    return Poset(names, _relabel(P.down_rows, perm))
+
+
 def test_covers_in_natural_and_shuffled_order():
     # the cube's index order is a linear extension; a shuffled copy's is not
     P = hypercube(5)
     assert covers(P) == covers_brute(P)
-    perm = list(range(len(P)))
-    random.Random(5).shuffle(perm)
-    names = [""] * len(P)
-    for i, x in enumerate(P.elements):
-        names[perm[i]] = x
-    Q = Poset(names, _relabel(P.down_rows, perm))
+    Q = declared_shuffled(P, 5)
     assert covers(Q) == covers_brute(Q)
     assert set(covers(Q)) == set(covers(P))
+
+
+def test_transpose_matches_bit_by_bit():
+    rng = random.Random(17)
+    for n in list(range(20)) + [31, 32, 33, 64, 65, 200, 257]:
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        assert _transpose(rows, n) == [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+
+
+def test_ranked_matches_pairwise_oracle():
+    # the pair walk on small or sparse rows, the two transposes on dense ones
+    crossover = 2 * TRANSPOSE_MIN_DEGREE + 1  # the least size with dense rows
+    assert _dense(chain(crossover).down_rows) and not _dense(chain(crossover - 1).down_rows)
+    rng = random.Random(18)
+    paths = set()
+    for n in (0, 1, 8, 9, crossover - 1, crossover, 64, 65, 200, 257):
+        for P in (chain(n), random_poset(n, 0.5, seed=n), random_poset(n, min(1, 2 / max(n, 1)), seed=n)):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for order in (range(n), shuffled):
+                assert _ranked(P.down_rows, order) == ranked_rows_brute(P.down_rows, order), n
+            paths.add((n >= crossover, _dense(P.down_rows)))
+    assert paths == {(False, False), (True, False), (True, True)}
+
+
+def test_covers_and_up_rows_on_shuffled_tower():
+    tower = declared_shuffled(suspension(antichain(2), 99), 18)
+    down, n = tower.down_rows, len(tower)
+    assert n == 200 and _dense(down)
+    assert tower.up_rows == tuple(sum((down[j] >> i & 1) << j for j in range(n)) for i in range(n))
+    assert covers(tower) == covers_brute(tower)
 
 
 def test_minimal_open_sets():
@@ -285,6 +326,8 @@ def test_structure_stats_matches_rescan_oracle():
         posets.append(random_poset(n, rng.choice([0.02, 0.1, 0.3]) * 20 / n, seed=seed))
     posets.append(suspension(antichain(2), 99))
     assert len(posets[-1]) == 200
+    # both sides of the crossover: covers on dense rows, all strict pairs on the rest
+    assert {_dense(P.down_rows) for P in posets if len(P) > 2 * TRANSPOSE_MIN_DEGREE} == {True, False}
     for P in posets:
         assert structure_stats(P) == structure_stats_rescan(P)
 

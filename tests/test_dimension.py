@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import partial
 from math import comb
 
@@ -72,6 +73,17 @@ def test_canonical_embedding_values():
     E4 = canonical_embedding(fence())
     assert E4.width == 4
     assert verify_embedding(E4)
+
+
+def test_bitstring_matches_per_bit_reference():
+    # one format call must print what the per-bit walk printed, for any int mask
+    rng = random.Random(5)
+    P = build_poset(["x"], [])
+    for width in range(141):
+        wide = rng.getrandbits(width + 9)  # bits above the width too
+        for m in (0, -1, (1 << width) - 1, 1 << width, -(1 << width), wide, -wide - 1):
+            E = CubeEmbedding(P, width, {"x": m})
+            assert E.bitstring("x") == "".join("1" if m >> i & 1 else "0" for i in range(width)), (width, m)
 
 
 def test_canonical_embedding_census():

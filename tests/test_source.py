@@ -63,11 +63,26 @@ def test_readme_quotes_cover_constants():
     # README states the selector's constants and every cap in prose; a changed constant must change the text
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     constants = {name: getattr(dimension, name) for name in ("COVER_LIMIT", "COVER_MIN_SIZE")} | module_guards()
+    constants["TRANSPOSE_MIN_DEGREE"] = importlib.import_module("finposet.core").TRANSPOSE_MIN_DEGREE
     assert {"SIZE_GUARD", "ISO_GUARD", "HYPERCUBE_GUARD"} < set(constants)
     quoted = re.findall(rf"`({'|'.join(constants)})`\s*(?:\(|=\s*)(\d+)", readme)
     assert {name for name, _ in quoted} == set(constants)
     for name, value in quoted:
         assert int(value) == constants[name], name
+
+
+def test_core_name_is_the_function_and_importlib_reaches_the_module():
+    # README, "The finposet.core name": the package attribute shadows the submodule
+    import finposet.core as bound
+
+    from finposet import homotopy
+
+    assert bound is homotopy.core and inspect.isfunction(bound)
+    module = importlib.import_module("finposet.core")
+    assert inspect.ismodule(module) and module.__name__ == "finposet.core"
+    assert module.Poset.__module__ == "finposet.core"
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert 'importlib.import_module("finposet.core")' in readme
 
 
 def test_benchmark_span_metrics_name_public_functions():
