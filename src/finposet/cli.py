@@ -127,7 +127,7 @@ def _cmd_make(args: argparse.Namespace) -> int:
 
 
 def _check_names(text: str) -> list[str]:
-    names = list(dict.fromkeys(c for c in text.split(",") if c))
+    names = [c for c in text.split(",") if c]
     if not names:
         raise argparse.ArgumentTypeError("lists no check")
     return names
@@ -205,7 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--unlabeled", action="store_true")
     p.add_argument("--check", required=True, type=_check_names, help="comma-separated check names")
-    p.add_argument("--stats", action="store_true", help="print enumeration and per-check statistics to stderr")
+    p.add_argument(
+        "--stats", action="store_true", help="print enumeration and per-check statistics to stderr"
+    )
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("dot", help="Graphviz DOT of the cover relation")

@@ -320,19 +320,20 @@ def topology_census(P: Poset) -> tuple[int, int]:
 
     Opens are the down-closed subsets, walked by ``_down_sets`` along the
     points sorted by down-set size (a linear extension).  Antichains are
-    walked the same way: each point extends every antichain so far that
-    holds nothing comparable to it.  The two counts are computed
-    independently; the antichain of maximal elements of an open set gives
-    the bijection that makes them equal.
+    walked along the same order, so no earlier point lies above the next
+    one: it extends every antichain so far that holds nothing below it.
+    The two counts are computed independently; the antichain of maximal
+    elements of an open set gives the bijection that makes them equal.
     """
     n = len(P)
     if n > CENSUS_GUARD:
         raise TooLarge(f"topology census needs |P| <= {CENSUS_GUARD}, got {n}")
-    down, up = P.down_rows, P.up_rows
-    opens = len(_down_sets(down, sorted(range(n), key=lambda i: down[i].bit_count())))
+    down = P.down_rows
+    order = sorted(range(n), key=lambda i: down[i].bit_count())
+    opens = len(_down_sets(down, order))
     sets = [0]
-    for i in range(n):
-        sets += [a | 1 << i for a in sets if not a & (down[i] | up[i])]
+    for i in order:
+        sets += [a | 1 << i for a in sets if not a & down[i]]
     return opens, len(sets)
 
 
@@ -383,14 +384,14 @@ def _transpose(rows: Sequence[int], n: int) -> list[int]:
     """The transpose of an n x n bit matrix: bit i of out[j] is bit j of rows[i].
 
     The rows are packed into one integer, N bits per row, N the power of two
-    at least max(n, 8), and the N x N matrix is transposed by recursive block
-    swaps (Warren, Hacker's Delight, 2nd ed., section 7-3).  The round for
-    j = N/2, ..., 1 swaps the two off-diagonal j x j quarters of every
-    2j x 2j block: bit (r, c) with r & j == 0 and c & j != 0 trades
-    places with bit (r + j, c - j), s = j(N - 1) positions higher.  So a transpose is O(n) Python steps to pack and
-    unpack plus O(log n) big-int operations on N^2 bits.  The masks are
-    built per call: a table kept for reuse would grow with the largest N
-    seen (about 100 MB at N = 8192).
+    at least max(n, 8), and the N x N matrix is transposed by recursive
+    block swaps (Warren, Hacker's Delight, 2nd ed., section 7-3).  The round
+    for j = N/2, ..., 1 swaps the two off-diagonal j x j quarters of every
+    2j x 2j block: bit (r, c) with r & j == 0 and c & j != 0 trades places
+    with bit (r + j, c - j), s = j(N - 1) positions higher.  So a transpose
+    is O(n) Python steps to pack and unpack plus O(log n) big-int operations
+    on N^2 bits.  The masks are built per call: a table kept for reuse would
+    grow with the largest N seen (about 100 MB at N = 8192).
     """
     N = max(8, 1 << (n - 1).bit_length())
     width = N // 8

@@ -8,8 +8,9 @@ bit i, and bitstrings print coordinate 0 first.
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by the number of up-sets: a cover of the critical
 pairs by up-sets, and an exhaustive width search (pruned by coordinate
-and twin symmetry and by up-set capacity).  Both work on positions along
-one linear extension and answer one width each; two_dimension's one
+and twin symmetry and by up-set capacity).  two_dimension builds one
+plan of P per call and hands it to its width loop and to the chosen
+backend, which is set up once and then answers one width per call; the
 loop asks widths upwards and verifies the first answer.  The canonical
 characteristic-function embedding has width |P|, and a deflation replay
 turns a core computation into an embedding one new coordinate per
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 from .core import (
     Poset, StructureStats, _bits, _down_sets, _lower_covers, _ranked, remove_element, structure_stats
@@ -35,9 +35,8 @@ from .errors import (
 )
 from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 
-# exists_embedding packs one subset mask per element into Python ints and
-# enumerates sub-blocks; beyond this width the search space is hopeless
-# anyway, so refuse early.
+# The width search packs masks into Python ints and enumerates sub-blocks;
+# beyond this width that is hopeless, so two_dimension and exists_embedding refuse.
 WIDTH_GUARD = 30
 # Default size cap for the exact 2-dimension.
 SIZE_GUARD = 12
@@ -151,9 +150,9 @@ def verify_embedding(E: CubeEmbedding) -> bool:
 class _Plan:
     """What the exact backends need of P, ranked along a linear extension by ``core._ranked``.
 
+    two_dimension builds one per call, for its width loop and its backend.
     Both backends read start and the strict rows below and above, over
     positions along order, and return one mask per position to embedding().
-    What only the width search reads is built by links() on first use.
     """
 
     def __init__(self, P: Poset):
@@ -164,54 +163,32 @@ class _Plan:
         for t in reversed(range(n)):
             for s in _bits(below[t]):
                 chain_above[s] = max(chain_above[s], chain_above[t] + 1)
+        self.P, self.below, self.above = P, below, above
         self.order = tuple(order)  # element index at each position
-        self.below, self.above = below, above
         # free coordinates the strict up-set of each position needs
         self.need = tuple([max(chain_above[t], above[t].bit_count().bit_length()) for t in range(n)])
         # max(ceil(log2 |P|), max need): no smaller width can succeed
         self.start = max((n - 1).bit_length(), max(self.need))
-        self._links: tuple | None = None
 
-    def links(self) -> tuple[tuple, tuple, tuple, tuple]:
-        """Per position: the earlier positions it covers (``core._lower_covers``,
-        as for ``covers``), the earlier ones incomparable to it, and the
-        first and the previous position (or -1) of its twin class."""
-        if self._links is None:
-            below, above = self.below, self.above
-            covers = tuple(tuple(_bits(lower)) for lower in _lower_covers(below))
-            incomparable = tuple(tuple(_bits(((1 << t) - 1) & ~row)) for t, row in enumerate(below))
-            first: dict[tuple[int, int], int] = {}
-            last: dict[tuple[int, int], int] = {}
-            twin_first, twin_prev = [], []
-            for t, row in enumerate(below):
-                key = (row, above[t])
-                twin_first.append(first.setdefault(key, t))
-                twin_prev.append(last.get(key, -1))
-                last[key] = t
-            self._links = (covers, incomparable, tuple(twin_first), tuple(twin_prev))
-        return self._links
-
-    def embedding(self, P: Poset, width: int, masks: Sequence[int]) -> CubeEmbedding:
+    def embedding(self, width: int, masks: Sequence[int]) -> CubeEmbedding:
         """The embedding of P at width that gives position t the mask masks[t]."""
+        P = self.P
         return CubeEmbedding(P, width, {P.elements[i]: masks[t] for t, i in enumerate(self.order)})
 
 
-@lru_cache(maxsize=1)
-def _plan(P: Poset) -> _Plan:
-    """The plan of P, built once and reused by every width tried."""
-    return _Plan(P)
+def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
+    """The width search backend: set up once, then answer one width per call.
 
+    The returned function maps a width w to an embedding of P into the
+    w-cube, or to None when there is none; above WIDTH_GUARD it raises
+    TooWide.  The set-up lists per position the earlier positions it covers
+    (``core._lower_covers``), the earlier ones incomparable to it, and the
+    first and the previous position (or -1) of its twin class.
 
-def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
-    """Search for an order embedding of P into the width-cube, or None.
-
-    Backtracks along a linear extension, with a plan of P built once and
-    reused by every width: each position's earlier covers and earlier
-    incomparable positions, its capacity need and its twin links.  The
-    mask of an element is the union of its covers' masks plus more bits,
-    and must differ from every mask so far and be incomparable to the
-    masks of its earlier incomparable elements.  Three rules cut the
-    candidates:
+    Each width backtracks along the plan's positions.  The mask of a
+    point is the union of its covers' masks plus more bits, and must
+    differ from every mask so far and be incomparable to the masks of its
+    earlier incomparable points.  Three rules cut the candidates:
 
     - Coordinates are interchangeable until first used, so candidates
       only ever extend the used block at its top: (forced bits) | (some
@@ -220,8 +197,8 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     - Capacity: the strict up-set U of x sits strictly above mask(x),
       inside the sub-cube on the coordinates mask(x) leaves free, so
       those must number at least the longest chain in U and at least
-      bit_length(|U|).  That is need(x), and mask(x) has at most
-      width - need(x) bits.
+      bit_length(|U|).  That is the plan's need(x), and mask(x) has at
+      most width - need(x) bits.
     - Twins (same strict down-set and up-set) are interchangeable.  With
       u the coordinates used before the first twin of a class is placed,
       key(m) = (popcount(m >> u), m & (2^u - 1)) never decreases along
@@ -230,76 +207,93 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
       embedding has a relabeled form that passes both this rule and the
       first one.
     """
+    below, above, need = plan.below, plan.above, plan.need
+    n = len(below)
+    covers = tuple(tuple(_bits(lower)) for lower in _lower_covers(below))
+    incomparable = tuple(tuple(_bits(((1 << t) - 1) & ~row)) for t, row in enumerate(below))
+    first: dict[tuple[int, int], int] = {}
+    last: dict[tuple[int, int], int] = {}
+    twin_first, twin_prev = [], []
+    for t, row in enumerate(below):
+        key = (row, above[t])
+        twin_first.append(first.setdefault(key, t))
+        twin_prev.append(last.get(key, -1))
+        last[key] = t
+
+    def embed_at(width: int) -> CubeEmbedding | None:
+        if width > WIDTH_GUARD:
+            raise TooWide(f"embedding search is capped at width {WIDTH_GUARD}")
+        if width < plan.start:
+            return None
+        masks = [0] * n  # by position
+        used_at = [0] * n  # coordinates in use when each position was placed
+        taken: set[int] = set()
+
+        def place(t: int, used: int) -> bool:
+            if t == n:
+                return True
+            forced = 0
+            for s in covers[t]:
+                forced |= masks[s]
+            room = width - need[t] - forced.bit_count()
+            if room < 0:
+                return False
+            others = [masks[s] for s in incomparable[t]]
+            prev = twin_prev[t]
+            if prev >= 0:
+                u = used_at[twin_first[t]]
+                low = (1 << u) - 1
+                floor = ((masks[prev] >> u).bit_count(), masks[prev] & low)
+            used_at[t] = used
+            free = ((1 << used) - 1) & ~forced
+            free_bits = free.bit_count()
+            spare = width - used
+            for t_new in range(room + 1 if room < spare else spare + 1):
+                block = ((1 << t_new) - 1) << used
+                left = room - t_new
+                sub = 0
+                while True:
+                    if left >= free_bits or sub.bit_count() <= left:
+                        m = forced | sub | block
+                        if m not in taken and (prev < 0 or ((m >> u).bit_count(), m & low) >= floor):
+                            for other in others:
+                                if m | other == other or m | other == m:
+                                    break
+                            else:
+                                masks[t] = m
+                                taken.add(m)
+                                if place(t + 1, used + t_new):
+                                    return True
+                                taken.discard(m)
+                    sub = (sub - free) & free
+                    if sub == 0:
+                        break
+            return False
+
+        return plan.embedding(width, masks) if place(0, 0) else None
+
+    return embed_at
+
+
+def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
+    """An order embedding of P into the width-cube by the width search (_search_embedding), or None."""
     if width < 0:
         raise OutOfRange("width must be >= 0")
     if width > WIDTH_GUARD:
         raise TooWide(f"embedding search is capped at width {WIDTH_GUARD}")
-    n = len(P)
-    if n == 0:
+    if len(P) == 0:
         raise EmptyPoset("the empty space has no embeddings")
-    if n > (1 << width):
-        return None
-    plan = _plan(P)
-    if width < plan.start:
-        return None
-    need = plan.need
-    covers, incomparable, twin_first, twin_prev = plan.links()
-    masks = [0] * n  # by position
-    used_at = [0] * n  # coordinates in use when each position was placed
-    taken: set[int] = set()
-
-    def place(t: int, used: int) -> bool:
-        if t == n:
-            return True
-        forced = 0
-        for s in covers[t]:
-            forced |= masks[s]
-        room = width - need[t] - forced.bit_count()
-        if room < 0:
-            return False
-        others = [masks[s] for s in incomparable[t]]
-        prev = twin_prev[t]
-        if prev >= 0:
-            u = used_at[twin_first[t]]
-            low = (1 << u) - 1
-            floor = ((masks[prev] >> u).bit_count(), masks[prev] & low)
-        used_at[t] = used
-        free = ((1 << used) - 1) & ~forced
-        free_bits = free.bit_count()
-        spare = width - used
-        for t_new in range(room + 1 if room < spare else spare + 1):
-            block = ((1 << t_new) - 1) << used
-            left = room - t_new
-            sub = 0
-            while True:
-                if left >= free_bits or sub.bit_count() <= left:
-                    m = forced | sub | block
-                    if m not in taken and (prev < 0 or ((m >> u).bit_count(), m & low) >= floor):
-                        for other in others:
-                            if m | other == other or m | other == m:
-                                break
-                        else:
-                            masks[t] = m
-                            taken.add(m)
-                            if place(t + 1, used + t_new):
-                                return True
-                            taken.discard(m)
-                sub = (sub - free) & free
-                if sub == 0:
-                    break
-        return False
-
-    return plan.embedding(P, width, masks) if place(0, 0) else None
+    return _search_embedding(_Plan(P))(width)
 
 
-def _least_embedding(P: Poset, embed_at: Callable[[int], CubeEmbedding | None]) -> CubeEmbedding:
+def _least_embedding(plan: _Plan, embed_at: Callable[[int], CubeEmbedding | None]) -> CubeEmbedding:
     """The first embedding embed_at returns, asking each width once from the plan's start up.
 
     No width below the start embeds P, so the first width answered is the
     least.  The answer is verified, whichever backend gave it;
     InvalidEmbedding means that check failed.
     """
-    for width in range(_plan(P).start, len(P) + 1):
+    for width in range(plan.start, len(plan.P) + 1):
         E = embed_at(width)
         if E is not None:
             if not verify_embedding(E):
@@ -308,7 +302,7 @@ def _least_embedding(P: Poset, embed_at: Callable[[int], CubeEmbedding | None]) 
     raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
 
 
-def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbedding | None]:
+def _cover_embedding(plan: _Plan, downs: list[int]) -> Callable[[int], CubeEmbedding | None]:
     """The up-set cover backend: set up once, then answer one width per call.
 
     The returned function maps a width w to an embedding of P into the
@@ -317,7 +311,7 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
     positions, and its strict rows below and above give the order.
 
     downs must list every down-set of P as masks over positions
-    (``_down_sets(_plan(P).below, range(len(P)))``); the up-sets are their
+    (``_down_sets(plan.below, range(len(P)))``); the up-sets are their
     complements.  Coordinate k of an embedding into the w-cube picks out
     the up-set U_k of points whose mask has bit k, and mask(x) is a subset
     of mask(y) exactly when every U_k holding x holds y.  So P embeds at
@@ -348,9 +342,8 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
     widths; the chosen up-sets are not.  Bit k of mask(x) is set iff x
     is in the k-th chosen up-set, and _least_embedding verifies the result.
     """
-    plan = _plan(P)
     below, above = plan.below, plan.above
-    n = len(P)
+    n = len(below)
     full = (1 << n) - 1
     # critical[x]: the y with (x, y) critical, that is y above every strict
     # lower point of x, not above x, and strictly below nothing outside up(x)
@@ -432,7 +425,7 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
         if chosen is None:
             return None
         masks = [sum(1 << k for k, U in enumerate(chosen) if U >> t & 1) for t in range(n)]
-        return plan.embedding(P, width, masks)
+        return plan.embedding(width, masks)
 
     return embed_at
 
@@ -440,24 +433,26 @@ def _cover_embedding(P: Poset, downs: list[int]) -> Callable[[int], CubeEmbeddin
 def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     """The exact least embedding width, with a witness at that width.
 
-    Two exact backends each answer one width: the up-set cover
-    (_cover_embedding) for a poset of at least COVER_MIN_SIZE points with
-    at most COVER_LIMIT up-sets, the width search (exists_embedding) for
-    any other.  A down-set walk over the plan's strict rows, stopped once
-    it passes COVER_LIMIT, counts the up-sets.  One loop (_least_embedding)
-    asks the chosen backend width by width from the plan's start, which is
-    at least lower_bound(P); the first width answered, with its witness
-    verified, is the value.  Sizes above max_size are refused (both
-    backends are exponential); raise the cap explicitly to push further.
+    One plan of P (_Plan) feeds two exact backends, each set up once and
+    then answering one width per call: the up-set cover (_cover_embedding)
+    for a poset of at least COVER_MIN_SIZE points with at most COVER_LIMIT
+    up-sets, the width search (_search_embedding) for any other.  A down-set
+    walk over the plan's strict rows, stopped once it passes COVER_LIMIT,
+    counts the up-sets.  One loop (_least_embedding) asks the chosen backend
+    width by width from the plan's start, which is at least lower_bound(P);
+    the first width answered, with its witness verified, is the value.
+    Sizes above max_size are refused (both backends are exponential); raise
+    the cap explicitly to push further.
     """
     n = len(P)
     if n == 0:
         raise EmptyPoset("the empty space has no 2-dimension")
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
-    downs = _down_sets(_plan(P).below, range(n), COVER_LIMIT) if n >= COVER_MIN_SIZE else None
-    embed_at = partial(exists_embedding, P) if downs is None else _cover_embedding(P, downs)
-    E = _least_embedding(P, embed_at)
+    plan = _Plan(P)
+    downs = _down_sets(plan.below, range(n), COVER_LIMIT) if n >= COVER_MIN_SIZE else None
+    embed_at = _search_embedding(plan) if downs is None else _cover_embedding(plan, downs)
+    E = _least_embedding(plan, embed_at)
     return DimCertificate(E.width, E, True)
 
 

@@ -2,7 +2,8 @@
 
 Each oracle follows its definition directly so that the package's fast
 routines can be checked against it.  MonotoneMap and is_initial_map, the
-map definitions that no package routine uses, live here too.
+map definitions that no package routine uses, live here too, and so does
+fence, the small example space that several test files share.
 """
 
 from __future__ import annotations
@@ -20,10 +21,16 @@ from finposet import (
     StructureStats,
     TooWide,
     UnknownElement,
+    build_poset,
     two_dimension,
 )
 from finposet.census import CHECKS, CensusReport, CheckResult, enumerate_posets
 from finposet.dimension import WIDTH_GUARD
+
+
+def fence() -> Poset:
+    # d < b, d < c, c < a: the four-point space with 7 open sets
+    return build_poset("abcd", [("d", "b"), ("d", "c"), ("c", "a")])
 
 
 @dataclass(frozen=True)

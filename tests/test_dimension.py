@@ -1,6 +1,5 @@
 import itertools
 import random
-from functools import partial
 from math import comb
 
 import pytest
@@ -36,13 +35,17 @@ from finposet import (
 )
 from finposet import dimension
 from finposet.census import enumerate_posets
-from finposet.core import _down_sets, disjoint_union, induced_subposet, opposite, remove_element
+from finposet.core import (
+    _bits,
+    _down_sets,
+    _lower_covers,
+    disjoint_union,
+    induced_subposet,
+    opposite,
+    remove_element,
+)
 from finposet.dimension import extend_embedding_at_beat_point
-from oracles import covers_brute, exists_embedding_naive, two_dimension_cover
-
-
-def fence():
-    return build_poset("abcd", [("d", "b"), ("d", "c"), ("c", "a")])
+from oracles import covers_brute, exists_embedding_naive, fence, two_dimension_cover
 
 
 def test_lower_bound():
@@ -133,6 +136,14 @@ def test_exists_embedding_guards():
         exists_embedding(chain(2), -1)
     with pytest.raises(EmptyPoset):
         exists_embedding(Poset([], []), 3)
+
+
+def test_width_guard_holds_on_both_paths():
+    # the 32-chain needs width 31, past WIDTH_GUARD: two_dimension's search refuses at once
+    with pytest.raises(TooWide):
+        two_dimension(disjoint_union(chain(32), antichain(9)), max_size=41)
+    with pytest.raises(TooWide):
+        exists_embedding(antichain(3), dimension.WIDTH_GUARD + 1)
 
 
 def test_two_dimension_known_values():
@@ -341,9 +352,10 @@ def test_cover_oracle_matches_on_random_posets_with_twins():
 
 def backends_agree(P):
     """Run both exact backends through the width loop, whatever the up-set count; return the width."""
-    downs = _down_sets(dimension._plan(P).below, range(len(P)))
-    by_cover = dimension._least_embedding(P, dimension._cover_embedding(P, downs))
-    by_search = dimension._least_embedding(P, partial(exists_embedding, P))
+    plan = dimension._Plan(P)
+    downs = _down_sets(plan.below, range(len(P)))
+    by_cover = dimension._least_embedding(plan, dimension._cover_embedding(plan, downs))
+    by_search = dimension._least_embedding(plan, dimension._search_embedding(plan))
     assert by_cover.poset == by_search.poset == P
     assert by_cover.width == by_search.width
     assert verify_embedding(by_cover) and verify_embedding(by_search)
@@ -376,13 +388,13 @@ def test_backend_choice_by_up_set_count(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dimension, "_cover_embedding", counted("_cover_embedding"))
-    monkeypatch.setattr(dimension, "exists_embedding", counted("exists_embedding"))
+    monkeypatch.setattr(dimension, "_search_embedding", counted("_search_embedding"))
     # antichains on 5, 7, 8 and 9 points have 32, 128, 256 and 512 up-sets
     for P, backend in (
-        (antichain(5), "exists_embedding"),
+        (antichain(5), "_search_embedding"),
         (antichain(7), "_cover_embedding"),
         (antichain(8), "_cover_embedding"),
-        (antichain(9), "exists_embedding"),
+        (antichain(9), "_search_embedding"),
     ):
         calls.clear()
         cert = two_dimension(P)
@@ -400,12 +412,12 @@ MOVED_BAND = ((12, 0.3, 0, 318), (11, 0.2, 2, 300), (12, 0.2, 6, 268))
 def test_backends_agree_on_moved_band():
     for n, p, seed, up_sets in MOVED_BAND:
         P = random_poset(n, p, seed)
-        assert len(_down_sets(P.down_rows, dimension._plan(P).order)) == up_sets
+        assert len(_down_sets(P.down_rows, dimension._Plan(P).order)) == up_sets
         assert backends_agree(P) == 6
 
 
 def test_moved_band_routes_to_cover(monkeypatch):
-    monkeypatch.setattr(dimension, "exists_embedding", lambda P, w: pytest.fail("routed to the search"))
+    monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
     for n, p, seed, _ in MOVED_BAND:
         cert = two_dimension(random_poset(n, p, seed))
         assert cert.value == 6 and cert.exhausted_below and verify_embedding(cert.witness)
@@ -419,7 +431,7 @@ def test_cover_raises_on_invalid_witness(monkeypatch):
 
 def test_search_answers_are_verified(monkeypatch):
     # the width loop checks every witness, not only the cover's
-    monkeypatch.setattr(dimension, "_cover_embedding", lambda P, downs: pytest.fail("routed to the cover"))
+    monkeypatch.setattr(dimension, "_cover_embedding", lambda plan, downs: pytest.fail("routed to the cover"))
     monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
     # the last one has 608 up-sets, past COVER_LIMIT
     for P in (antichain(5), chain(4), disjoint_union(suspension(antichain(4)), antichain(5))):
@@ -429,7 +441,7 @@ def test_search_answers_are_verified(monkeypatch):
 
 def test_cover_leaves_up_rows_unbuilt(monkeypatch):
     # the cover reads the plan's ranked rows, never the poset's transpose
-    monkeypatch.setattr(dimension, "exists_embedding", lambda P, w: pytest.fail("routed to the search"))
+    monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
     fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in MOVED_BAND]
     for P in fresh:
         assert P._up is None
@@ -449,7 +461,7 @@ def test_capacity_rule_on_suspended_antichain():
 def test_capacity_rule_bounds_mask_size():
     # seven points above a bottom need bit_length(7) = 3 free coordinates
     P = build_poset("b0123456", [("b", str(k)) for k in range(7)])
-    assert dimension._plan(P).need[0] == 3
+    assert dimension._Plan(P).need[0] == 3
     assert two_dimension(P).value == 5  # C(5, 2) >= 7 > C(4, 2)
     for w in range(5, len(P) + 1):
         E = exists_embedding(P, w)
@@ -463,7 +475,8 @@ def test_plan_covers_match_brute_force_oracle():
         for P in enumerate_posets(n, up_to_iso=True):
             plan = dimension._Plan(P)
             names = [P.elements[i] for i in plan.order]
-            pairs = [(names[s], names[t]) for t, lower in enumerate(plan.links()[0]) for s in lower]
+            lower_covers = _lower_covers(plan.below)
+            pairs = [(names[s], names[t]) for t, lower in enumerate(lower_covers) for s in _bits(lower)]
             assert sorted(pairs, key=lambda p: (P.index(p[0]), P.index(p[1]))) == covers_brute(P)
 
 
@@ -473,29 +486,26 @@ def test_structure_stats_once_per_two_dimension(monkeypatch):
     stats_calls = []
     asked = []
     structure_stats = dimension.structure_stats
-    search_at = dimension.exists_embedding
-    cover_embedding = dimension._cover_embedding
 
     def counted_stats(P):
         stats_calls.append(P)
         return structure_stats(P)
 
-    def counted_search(P, width):
-        asked.append(("search", width))
-        return search_at(P, width)
+    def counted(backend, factory):
+        def set_up(*args):
+            embed_at = factory(*args)
 
-    def counted_cover(P, downs):
-        cover_at = cover_embedding(P, downs)
+            def at(width):
+                asked.append((backend, width))
+                return embed_at(width)
 
-        def at(width):
-            asked.append(("cover", width))
-            return cover_at(width)
+            return at
 
-        return at
+        return set_up
 
     monkeypatch.setattr(dimension, "structure_stats", counted_stats)
-    monkeypatch.setattr(dimension, "exists_embedding", counted_search)
-    monkeypatch.setattr(dimension, "_cover_embedding", counted_cover)
+    monkeypatch.setattr(dimension, "_search_embedding", counted("search", dimension._search_embedding))
+    monkeypatch.setattr(dimension, "_cover_embedding", counted("cover", dimension._cover_embedding))
     for P, backend in (
         # 608 up-sets: the width search, at widths 4, 5 and 6
         (disjoint_union(suspension(antichain(4)), antichain(5)), "search"),
@@ -504,9 +514,8 @@ def test_structure_stats_once_per_two_dimension(monkeypatch):
     ):
         stats_calls.clear()
         asked.clear()
-        dimension._plan.cache_clear()
         assert two_dimension(P, max_size=len(P)).value == 6
         assert len(stats_calls) == 1
-        start = dimension._plan(P).start
+        start = dimension._Plan(P).start
         assert start < 6
         assert asked == [(backend, width) for width in range(start, 7)]

@@ -20,10 +20,7 @@ from finposet import (
 from finposet import homotopy
 from finposet.census import enumerate_posets, random_poset
 from finposet.core import opposite, remove_element
-
-
-def fence():
-    return build_poset("abcd", [("d", "b"), ("d", "c"), ("c", "a")])
+from oracles import fence
 
 
 def witness_triples(P):

@@ -161,18 +161,27 @@ def test_no_unreferenced_private_definitions():
 
 
 def ambient_state(tree: ast.Module) -> list[int]:
-    """Lines where tree creates a ContextVar or has a global statement."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Global)
-        or isinstance(node, ast.Call) and "ContextVar" in referenced_names(node.func)
-    )
+    """Lines where tree creates a ContextVar, has a global statement, or caches
+    a function that takes parameters (functools.cache or lru_cache)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global) or (
+            isinstance(node, ast.Call) and "ContextVar" in referenced_names(node.func)
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                lines += [d.lineno for d in node.decorator_list if referenced_names(d) & {"cache", "lru_cache"}]
+    return sorted(lines)
 
 
 def test_no_ambient_state():
     # a result must depend on the arguments of a call, not on state a caller left behind
-    demo = "import contextvars\nV = contextvars.ContextVar('v')\ndef f():\n    global V\nW = ContextVar('w')"
-    assert ambient_state(ast.parse(demo)) == [2, 4, 5]
+    demo = (
+        "import contextvars\nV = contextvars.ContextVar('v')\ndef f():\n    global V\nW = ContextVar('w')\n"
+        "@functools.lru_cache(maxsize=1)\ndef g(P): pass\n@cache\ndef h(): pass\n@cache\ndef k(*a): pass"
+    )
+    assert ambient_state(ast.parse(demo)) == [2, 4, 5, 6, 10]
     modules = parsed_modules()
     assert [f"{stem}:{line}" for stem, tree in modules.items() for line in ambient_state(tree)] == []
