@@ -8,7 +8,8 @@ bit i, and bitstrings print coordinate 0 first.
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by the number of up-sets: a cover of the critical
 pairs by up-sets, and an exhaustive width search (pruned by coordinate
-and twin symmetry and by up-set capacity).  two_dimension builds one
+and twin symmetry and by up-set capacity, which finds each point's
+candidate masks as one bitset over the cube).  two_dimension builds one
 plan of P per call and hands it to its width loop and to the chosen
 backend, which is set up once and then answers one width per call; the
 loop asks widths upwards and verifies the first answer.  The canonical
@@ -35,17 +36,20 @@ from .errors import (
 )
 from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 
-# The width search packs masks into Python ints and enumerates sub-blocks;
-# beyond this width that is hopeless, so two_dimension and exists_embedding refuse.
-WIDTH_GUARD = 30
+# The width search filters candidates as bitsets of 2^width bits (128 KiB
+# each at width 20, and a table of them per width), so two_dimension and
+# exists_embedding refuse wider searches.
+WIDTH_GUARD = 20
 # Default size cap for the exact 2-dimension.
 SIZE_GUARD = 12
 # two_dimension solves a poset of at least COVER_MIN_SIZE points and at
 # most COVER_LIMIT up-sets as an up-set cover, any other by the width
 # search.  Below 6 points the cover's fixed set-up costs more than the
-# whole search.  On random posets of 9-12 points with 251-400 up-sets
-# the cover took a fifth of the search's time in total; at 401-450 the
-# two were close and above that the search won (README, Guards).
+# whole search.  On the benchmark's 330 pool posets of 9-12 points, with
+# each backend forced, the cover took a fifth of the search's time at
+# most 250 up-sets, the two were even at 251-400, and above 400 the search
+# won (README, Guards).  The limit stays above that crossover because a
+# different route gives different witnesses.
 COVER_MIN_SIZE = 6
 COVER_LIMIT = 400
 
@@ -157,7 +161,8 @@ class _Plan:
 
     def __init__(self, P: Poset):
         n = len(P)
-        order = [P.index(e) for e in structure_stats(P).linear_extension]
+        stats = structure_stats(P)
+        order = [P.index(e) for e in stats.linear_extension]
         _, below, above = _ranked(P.down_rows, order)  # strict rows over positions
         chain_above = [0] * n
         for t in reversed(range(n)):
@@ -167,8 +172,9 @@ class _Plan:
         self.order = tuple(order)  # element index at each position
         # free coordinates the strict up-set of each position needs
         self.need = tuple([max(chain_above[t], above[t].bit_count().bit_length()) for t in range(n)])
-        # max(ceil(log2 |P|), max need): no smaller width can succeed
-        self.start = max((n - 1).bit_length(), max(self.need))
+        # no smaller width can succeed; every need is at most it, because
+        # need's terms are at most the height and bit_length(n - 1)
+        self.start = lower_bound(P, stats)
 
     def embedding(self, width: int, masks: Sequence[int]) -> CubeEmbedding:
         """The embedding of P at width that gives position t the mask masks[t]."""
@@ -206,6 +212,18 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
       and relabeling the coordinates from u on keeps every key, so each
       embedding has a relabeled form that passes both this rule and the
       first one.
+
+    The candidates of a position are found as one bitset over the w-cube,
+    bit m standing for mask m: the AND of the up-cones of its covers'
+    masks, the masks whose coordinates from the used count u on are a run
+    starting at u, those of at most w - need bits, those not yet taken,
+    and the complements of the comparability cones of its earlier
+    incomparable points' masks.  Its set bits are tried in increasing
+    order, each against the twin key, which is the order in which the
+    three rules above enumerate them, so the search tree and its answer
+    do not depend on the filter.  The tables are built for each width,
+    and the cones of each mask once per width; a bitset has 2^w bits,
+    which is what WIDTH_GUARD caps.
     """
     below, above, need = plan.below, plan.above, plan.need
     n = len(below)
@@ -225,52 +243,65 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             raise TooWide(f"embedding search is capped at width {WIDTH_GUARD}")
         if width < plan.start:
             return None
-        masks = [0] * n  # by position
-        used_at = [0] * n  # coordinates in use when each position was placed
-        taken: set[int] = set()
+        full = (1 << (1 << width)) - 1  # every mask of the width-cube
+        # at_most[c]: the masks of at most c bits, grown one coordinate i at a time
+        at_most = [1] * (width + 1)
+        for i in range(width):
+            for c in range(width, 0, -1):
+                at_most[c] |= at_most[c - 1] << (1 << i)
+        # fresh[u]: the masks whose coordinates from u on are a run starting at u
+        fresh = []
+        for u in range(width + 1):
+            block = run = (1 << (1 << u)) - 1  # every mask under 2^u
+            for k in range(1, width - u + 1):
+                run |= block << (((1 << k) - 1) << u)
+            fresh.append(run)
+        capped = [at_most[width - k] for k in need]
+        cones: dict[int, tuple[int, int]] = {}
 
-        def place(t: int, used: int) -> bool:
+        def cone(m: int) -> tuple[int, int]:
+            """The masks containing m, and the masks incomparable to m."""
+            up, down = 1 << m, 1
+            for i in range(width):
+                if m >> i & 1:
+                    down |= down << (1 << i)
+                else:
+                    up |= up << (1 << i)
+            cones[m] = found = (up, full ^ (up | down))
+            return found
+
+        masks = [0] * n  # by position
+        ups = [0] * n  # the up-cone of each placed mask
+        apart = [0] * n  # the masks incomparable to each placed mask
+        used_at = [0] * n  # coordinates in use when each position was placed
+
+        def place(t: int, used: int, untaken: int) -> bool:
             if t == n:
                 return True
-            forced = 0
+            allowed = fresh[used] & capped[t] & untaken
             for s in covers[t]:
-                forced |= masks[s]
-            room = width - need[t] - forced.bit_count()
-            if room < 0:
-                return False
-            others = [masks[s] for s in incomparable[t]]
+                allowed &= ups[s]
+            for s in incomparable[t]:
+                allowed &= apart[s]
             prev = twin_prev[t]
             if prev >= 0:
                 u = used_at[twin_first[t]]
                 low = (1 << u) - 1
                 floor = ((masks[prev] >> u).bit_count(), masks[prev] & low)
             used_at[t] = used
-            free = ((1 << used) - 1) & ~forced
-            free_bits = free.bit_count()
-            spare = width - used
-            for t_new in range(room + 1 if room < spare else spare + 1):
-                block = ((1 << t_new) - 1) << used
-                left = room - t_new
-                sub = 0
-                while True:
-                    if left >= free_bits or sub.bit_count() <= left:
-                        m = forced | sub | block
-                        if m not in taken and (prev < 0 or ((m >> u).bit_count(), m & low) >= floor):
-                            for other in others:
-                                if m | other == other or m | other == m:
-                                    break
-                            else:
-                                masks[t] = m
-                                taken.add(m)
-                                if place(t + 1, used + t_new):
-                                    return True
-                                taken.discard(m)
-                    sub = (sub - free) & free
-                    if sub == 0:
-                        break
+            while allowed:
+                bit = allowed & -allowed
+                allowed ^= bit
+                m = bit.bit_length() - 1
+                if prev < 0 or ((m >> u).bit_count(), m & low) >= floor:
+                    masks[t] = m
+                    ups[t], apart[t] = cones.get(m) or cone(m)
+                    top = m.bit_length()
+                    if place(t + 1, top if top > used else used, untaken ^ bit):
+                        return True
             return False
 
-        return plan.embedding(width, masks) if place(0, 0) else None
+        return plan.embedding(width, masks) if place(0, 0, full) else None
 
     return embed_at
 
@@ -439,7 +470,7 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     up-sets, the width search (_search_embedding) for any other.  A down-set
     walk over the plan's strict rows, stopped once it passes COVER_LIMIT,
     counts the up-sets.  One loop (_least_embedding) asks the chosen backend
-    width by width from the plan's start, which is at least lower_bound(P);
+    width by width from the plan's start, lower_bound(P);
     the first width answered, with its witness verified, is the value.
     Sizes above max_size are refused (both backends are exponential); raise
     the cap explicitly to push further.

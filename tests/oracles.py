@@ -22,6 +22,7 @@ from finposet import (
     TooWide,
     UnknownElement,
     build_poset,
+    structure_stats,
     two_dimension,
 )
 from finposet.census import CHECKS, CensusReport, CheckResult, enumerate_posets
@@ -176,6 +177,70 @@ def exists_embedding_naive(P: Poset, width: int) -> CubeEmbedding | None:
     if place(0):
         return CubeEmbedding(P, width, {P.elements[i]: masks[i] for i in range(n)})
     return None
+
+
+def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
+    """The masks the width search documents, found by trying every mask in turn.
+
+    Walks structure_stats(P).linear_extension and gives each element the
+    first of the masks 0 .. 2^width - 1 that keeps the masks so far an
+    order embedding and obeys the search's four rules: it holds the union
+    of its lower covers' masks; it has at most width - need bits, need
+    being the larger of the longest chain strictly above the element and
+    bit_length of its strict up-set's size; its coordinates from the
+    number used so far on are a run starting there; and its key
+    (popcount(m >> u), m & (2^u - 1)) is no smaller than that of the
+    previous twin (same strict down-set and up-set) placed, u being the
+    number of coordinates used before the first twin was placed.
+    Backtracks when no mask fits.  Returns the masks by element, or None.
+    """
+    order = structure_stats(P).linear_extension
+    n = len(order)
+    strictly_below = {x: P.down_set(x) - {x} for x in order}
+    strictly_above = {x: P.up_set(x) - {x} for x in order}
+    lower_covers = {
+        x: [y for y in strictly_below[x] if strictly_above[y].isdisjoint(strictly_below[x])] for x in order
+    }
+    chain_above: dict[str, int] = {}
+    for x in reversed(order):
+        chain_above[x] = max((chain_above[y] + 1 for y in strictly_above[x]), default=0)
+    need = {x: max(chain_above[x], len(strictly_above[x]).bit_length()) for x in order}
+    masks: dict[str, int] = {}
+    used_at: dict[str, int] = {}
+
+    def key(m: int, u: int) -> tuple[int, int]:
+        return (m >> u).bit_count(), m & ((1 << u) - 1)
+
+    def fits(x: str, m: int) -> bool:
+        """mask(y) is a subset of m exactly when y <= x, and m of mask(y) exactly when x <= y."""
+        return all(
+            (masks[y] | m == m) == P.leq(y, x) and (m | masks[y] == masks[y]) == P.leq(x, y) for y in masks
+        )
+
+    def place(k: int, used: int) -> bool:
+        if k == n:
+            return True
+        x = order[k]
+        forced = 0
+        for y in lower_covers[x]:
+            forced |= masks[y]
+        sides = (strictly_below[x], strictly_above[x])
+        twins = [y for y in order[:k] if (strictly_below[y], strictly_above[y]) == sides]
+        used_at[x] = used
+        for m in range(1 << width):
+            run = m >> used
+            if m & forced != forced or m.bit_count() > width - need[x] or run & (run + 1):
+                continue
+            if twins and key(m, used_at[twins[0]]) < key(masks[twins[-1]], used_at[twins[0]]):
+                continue
+            if fits(x, m):
+                masks[x] = m
+                if place(k + 1, max(used, m.bit_length())):
+                    return True
+                del masks[x]
+        return False
+
+    return dict(masks) if place(0, 0) else None
 
 
 def _relation(P: Poset) -> set[tuple[int, int]]:

@@ -45,7 +45,7 @@ from finposet.core import (
     remove_element,
 )
 from finposet.dimension import extend_embedding_at_beat_point
-from oracles import covers_brute, exists_embedding_naive, fence, two_dimension_cover
+from oracles import covers_brute, exists_embedding_naive, fence, search_masks_lexicographic, two_dimension_cover
 
 
 def test_lower_bound():
@@ -144,6 +144,34 @@ def test_width_guard_holds_on_both_paths():
         two_dimension(disjoint_union(chain(32), antichain(9)), max_size=41)
     with pytest.raises(TooWide):
         exists_embedding(antichain(3), dimension.WIDTH_GUARD + 1)
+
+
+def test_exists_embedding_at_width_guard():
+    # the candidate bitsets have 2^WIDTH_GUARD bits; the widest search allowed still answers
+    w = dimension.WIDTH_GUARD
+    for P in (chain(2), antichain(12), disjoint_union(chain(w - 1), antichain(4))):
+        E = exists_embedding(P, w)
+        assert E is not None and E.width == w and verify_embedding(E)
+
+
+def search_matches_lexicographic_oracle(P):
+    for w in range(len(P) + 1):
+        E = exists_embedding(P, w)
+        assert (None if E is None else E.masks) == search_masks_lexicographic(P, w), w
+
+
+def test_search_masks_match_lexicographic_oracle_over_unlabeled_census():
+    # the bitset filter tries the documented candidates in increasing mask order
+    for n in range(1, 7):
+        for P in enumerate_posets(n, up_to_iso=True):
+            search_matches_lexicographic_oracle(P)
+
+
+def test_search_masks_match_lexicographic_oracle_on_search_routed_posets():
+    for n, p, seed in ((10, 0.1, 5), (10, 0.15, 0), (10, 0.2, 0)):
+        P = random_poset(n, p, seed)
+        assert _down_sets(P.down_rows, dimension._Plan(P).order, dimension.COVER_LIMIT) is None
+        search_matches_lexicographic_oracle(P)
 
 
 def test_two_dimension_known_values():
