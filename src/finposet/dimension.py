@@ -7,12 +7,14 @@ bit i, and bitstrings print coordinate 0 first.
 
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by the number of up-sets: a cover of the critical
-pairs by up-sets, and an exhaustive width search (pruned by coordinate
-and twin symmetry and by up-set capacity, which finds each point's
-candidate masks as one bitset over the cube).  two_dimension builds one
-plan of P per call and hands it to its width loop and to the chosen
-backend, which is set up once and then answers one width per call; the
-loop asks widths upwards and verifies the first answer.  The canonical
+pairs by up-sets, and an exhaustive width search that returns the
+lexicographically least embedding (pruned by up-set capacity and by the
+coordinate and twin symmetries that keep that embedding, and finding
+each point's candidate masks as one bitset over the cube).
+two_dimension builds one plan of P per call and hands it to its width
+loop and to the chosen backend, which is set up once and then answers
+one width per call; the loop asks widths upwards and verifies the first
+answer.  The canonical
 characteristic-function embedding has width |P|, and a deflation replay
 turns a core computation into an embedding one new coordinate per
 removed point.
@@ -37,7 +39,8 @@ from .errors import (
 from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 
 # The width search filters candidates as bitsets of 2^width bits (128 KiB
-# each at width 20, and a table of them per width), so two_dimension and
+# each at width 20; per width a capacity table, two per placed mask and up
+# to 8 MiB of coordinate-class segments), so two_dimension and
 # exists_embedding refuse wider searches.
 WIDTH_GUARD = 20
 # Default size cap for the exact 2-dimension.
@@ -46,10 +49,11 @@ SIZE_GUARD = 12
 # most COVER_LIMIT up-sets as an up-set cover, any other by the width
 # search.  Below 6 points the cover's fixed set-up costs more than the
 # whole search.  On the benchmark's 330 pool posets of 9-12 points, with
-# each backend forced, the cover took a fifth of the search's time at
-# most 250 up-sets, the two were even at 251-400, and above 400 the search
-# won (README, Guards).  The limit stays above that crossover because a
-# different route gives different witnesses.
+# each backend forced, the cover took under half of the search's time at
+# most 250 up-sets, the search about a third of the cover's at 251-400,
+# and above 400 the search won by far (README, Guards).  The limit stays
+# above that crossover because a different route gives different
+# witnesses.
 COVER_MIN_SIZE = 6
 COVER_LIMIT = 400
 
@@ -185,56 +189,69 @@ class _Plan:
 def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     """The width search backend: set up once, then answer one width per call.
 
-    The returned function maps a width w to an embedding of P into the
-    w-cube, or to None when there is none; above WIDTH_GUARD it raises
-    TooWide.  The set-up lists per position the earlier positions it covers
+    The returned function maps a width w to the lexicographically least
+    embedding of P into the w-cube, comparing masks position by position
+    along the plan's order (structure_stats(P).linear_extension), or to
+    None when there is none; above WIDTH_GUARD it raises TooWide.  The
+    set-up lists per position the earlier positions it covers
     (``core._lower_covers``), the earlier ones incomparable to it, and the
-    first and the previous position (or -1) of its twin class.
+    previous position (or -1) of its twin class (same strict down-set and
+    up-set).
 
-    Each width backtracks along the plan's positions.  The mask of a
-    point is the union of its covers' masks plus more bits, and must
-    differ from every mask so far and be incomparable to the masks of its
-    earlier incomparable points.  Three rules cut the candidates:
+    Each width backtracks along the plan's positions and tries each
+    position's candidate masks in increasing order, so the first full
+    assignment found is the least one that passes the rules below.  The
+    mask of a point holds its covers' masks, differs from every mask so
+    far and is incomparable to the masks of its earlier incomparable
+    points; those are what an embedding is.  Three rules cut the rest,
+    and the least embedding S* passes each of them:
 
-    - Coordinates are interchangeable until first used, so candidates
-      only ever extend the used block at its top: (forced bits) | (some
-      subset of the unforced already-used coordinates) | (a run of brand
-      new coordinates), which prunes the n! coordinate relabelings to one.
     - Capacity: the strict up-set U of x sits strictly above mask(x),
       inside the sub-cube on the coordinates mask(x) leaves free, so
       those must number at least the longest chain in U and at least
       bit_length(|U|).  That is the plan's need(x), and mask(x) has at
-      most width - need(x) bits.
-    - Twins (same strict down-set and up-set) are interchangeable.  With
-      u the coordinates used before the first twin of a class is placed,
-      key(m) = (popcount(m >> u), m & (2^u - 1)) never decreases along
-      the class.  Permuting twins fixes everything placed before them,
-      and relabeling the coordinates from u on keeps every key, so each
-      embedding has a relabeled form that passes both this rule and the
-      first one.
+      most width - need(x) bits.  Every embedding passes this.
+    - Coordinate classes (lex-leader symmetry breaking; Crawford,
+      Ginsberg, Luks & Roy, KR 1996): coordinates that agree on every
+      mask placed so far form a class, and permuting coordinates inside
+      classes fixes those masks.  A mask is tried only if it is the
+      least of its orbit under these permutations, that is if its bits
+      inside each class are the class's lowest ones.  Any such
+      permutation maps S* to an embedding with the same prefix, so S*'s
+      next mask is the least in its orbit.  At first all coordinates
+      form one class, and the class of unused coordinates always makes
+      new coordinates come as a run above the used ones.  A chosen mask
+      m splits each class c into c & m and c & ~m, its lowest
+      coordinates and the rest, so every class is a run of coordinates,
+      and a class splits exactly where m holds one coordinate but not
+      the next.
+    - Twins are interchangeable: swapping the masks of two twins gives
+      another embedding, so along a twin class S*'s masks increase, and
+      a twin's mask is tried only above the previous twin's.  (An
+      earlier rule compared keys (popcount(m >> u), m & (2^u - 1)), u
+      the coordinates used before the first twin; it kept an embedding
+      but could skip the least one.)
 
     The candidates of a position are found as one bitset over the w-cube,
     bit m standing for mask m: the AND of the up-cones of its covers'
-    masks, the masks whose coordinates from the used count u on are a run
-    starting at u, those of at most w - need bits, those not yet taken,
-    and the complements of the comparability cones of its earlier
-    incomparable points' masks.  Its set bits are tried in increasing
-    order, each against the twin key, which is the order in which the
-    three rules above enumerate them, so the search tree and its answer
-    do not depend on the filter.  The tables are built for each width,
-    and the cones of each mask once per width; a bitset has 2^w bits,
-    which is what WIDTH_GUARD caps.
+    masks, the masks of at most w - need bits, those not yet taken, the
+    complements of the comparability cones of its earlier incomparable
+    points' masks, the segment of the coordinate classes (the masks that
+    pass their rule), and the masks above its previous twin's.  The
+    classes are passed down as the bitmask of their lowest coordinates.
+    The capacity table is built for each width, and the cones of each
+    mask and the segment of each set of classes once per width (segments
+    up to 8 MiB at a time); a bitset has 2^w bits, which is what
+    WIDTH_GUARD caps.
     """
     below, above, need = plan.below, plan.above, plan.need
     n = len(below)
     covers = tuple(tuple(_bits(lower)) for lower in _lower_covers(below))
     incomparable = tuple(tuple(_bits(((1 << t) - 1) & ~row)) for t, row in enumerate(below))
-    first: dict[tuple[int, int], int] = {}
     last: dict[tuple[int, int], int] = {}
-    twin_first, twin_prev = [], []
+    twin_prev = []
     for t, row in enumerate(below):
         key = (row, above[t])
-        twin_first.append(first.setdefault(key, t))
         twin_prev.append(last.get(key, -1))
         last[key] = t
 
@@ -249,15 +266,9 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
         for i in range(width):
             for c in range(width, 0, -1):
                 at_most[c] |= at_most[c - 1] << (1 << i)
-        # fresh[u]: the masks whose coordinates from u on are a run starting at u
-        fresh = []
-        for u in range(width + 1):
-            block = run = (1 << (1 << u)) - 1  # every mask under 2^u
-            for k in range(1, width - u + 1):
-                run |= block << (((1 << k) - 1) << u)
-            fresh.append(run)
         capped = [at_most[width - k] for k in need]
         cones: dict[int, tuple[int, int]] = {}
+        segments: dict[int, int] = {}  # by the starts of the coordinate classes
 
         def cone(m: int) -> tuple[int, int]:
             """The masks containing m, and the masks incomparable to m."""
@@ -270,44 +281,64 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             cones[m] = found = (up, full ^ (up | down))
             return found
 
+        def segment(starts: int) -> int:
+            """The masks whose bits inside each coordinate class are the class's lowest ones.
+
+            The classes are runs of coordinates, and bit i of starts is set
+            when coordinate i is the lowest of its run.  A mask may hold i
+            only when i starts a run or the mask holds i - 1.  So, going up
+            the coordinates, the allowed masks holding i (top) are the
+            allowed masks so far at a start, or those holding i - 1
+            otherwise, each with bit i added.
+            """
+            found = top = 1
+            for i in range(width):
+                top = (found if starts >> i & 1 else top) << (1 << i)
+                found |= top
+            if len(segments) << width >= 1 << 26:  # keep at most 8 MiB of segments
+                segments.clear()
+            segments[starts] = found
+            return found
+
         masks = [0] * n  # by position
         ups = [0] * n  # the up-cone of each placed mask
         apart = [0] * n  # the masks incomparable to each placed mask
-        used_at = [0] * n  # coordinates in use when each position was placed
 
-        def place(t: int, used: int, untaken: int) -> bool:
+        def place(t: int, starts: int, untaken: int) -> bool:
             if t == n:
                 return True
-            allowed = fresh[used] & capped[t] & untaken
+            allowed = capped[t] & untaken & (segments.get(starts) or segment(starts))
             for s in covers[t]:
                 allowed &= ups[s]
             for s in incomparable[t]:
                 allowed &= apart[s]
             prev = twin_prev[t]
             if prev >= 0:
-                u = used_at[twin_first[t]]
-                low = (1 << u) - 1
-                floor = ((masks[prev] >> u).bit_count(), masks[prev] & low)
-            used_at[t] = used
+                allowed &= -2 << masks[prev]  # the masks above the previous twin's
             while allowed:
                 bit = allowed & -allowed
                 allowed ^= bit
                 m = bit.bit_length() - 1
-                if prev < 0 or ((m >> u).bit_count(), m & low) >= floor:
-                    masks[t] = m
-                    ups[t], apart[t] = cones.get(m) or cone(m)
-                    top = m.bit_length()
-                    if place(t + 1, top if top > used else used, untaken ^ bit):
-                        return True
+                masks[t] = m
+                ups[t], apart[t] = cones.get(m) or cone(m)
+                # a class splits where m holds one coordinate but not the next
+                if place(t + 1, starts | m ^ m << 1, untaken ^ bit):
+                    return True
             return False
 
-        return plan.embedding(width, masks) if place(0, 0, full) else None
+        # one class of all coordinates; bit width marks where a run past the last would start
+        return plan.embedding(width, masks) if place(0, 1 | 1 << width, full) else None
 
     return embed_at
 
 
 def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
-    """An order embedding of P into the width-cube by the width search (_search_embedding), or None."""
+    """The lexicographically least order embedding of P into the width-cube, or None.
+
+    Masks are compared element by element along
+    structure_stats(P).linear_extension; the width search
+    (_search_embedding) finds the embedding.
+    """
     if width < 0:
         raise OutOfRange("width must be >= 0")
     if width > WIDTH_GUARD:

@@ -180,19 +180,19 @@ def exists_embedding_naive(P: Poset, width: int) -> CubeEmbedding | None:
 
 
 def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
-    """The masks the width search documents, found by trying every mask in turn.
+    """The lexicographically least embedding of P at width, found by trying every mask in turn.
 
     Walks structure_stats(P).linear_extension and gives each element the
     first of the masks 0 .. 2^width - 1 that keeps the masks so far an
-    order embedding and obeys the search's four rules: it holds the union
-    of its lower covers' masks; it has at most width - need bits, need
-    being the larger of the longest chain strictly above the element and
-    bit_length of its strict up-set's size; its coordinates from the
-    number used so far on are a run starting there; and its key
-    (popcount(m >> u), m & (2^u - 1)) is no smaller than that of the
-    previous twin (same strict down-set and up-set) placed, u being the
-    number of coordinates used before the first twin was placed.
-    Backtracks when no mask fits.  Returns the masks by element, or None.
+    order embedding and obeys two rules that the least embedding obeys:
+    the mask has at most width - need bits, need being the larger of the
+    longest chain strictly above the element and bit_length of its strict
+    up-set's size (its strict up-set must fit strictly above it); and its
+    coordinates from the number used so far on are a run starting there
+    (unused coordinates are interchangeable, and taking the lowest ones
+    gives a smaller mask).  Backtracks when no mask fits, so the first
+    full assignment is the least, comparing masks along the extension.
+    Returns the masks by element, or None.
     """
     order = structure_stats(P).linear_extension
     n = len(order)
@@ -206,10 +206,6 @@ def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
         chain_above[x] = max((chain_above[y] + 1 for y in strictly_above[x]), default=0)
     need = {x: max(chain_above[x], len(strictly_above[x]).bit_length()) for x in order}
     masks: dict[str, int] = {}
-    used_at: dict[str, int] = {}
-
-    def key(m: int, u: int) -> tuple[int, int]:
-        return (m >> u).bit_count(), m & ((1 << u) - 1)
 
     def fits(x: str, m: int) -> bool:
         """mask(y) is a subset of m exactly when y <= x, and m of mask(y) exactly when x <= y."""
@@ -221,17 +217,12 @@ def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
         if k == n:
             return True
         x = order[k]
-        forced = 0
+        forced = 0  # fits implies holding the lower covers' masks; testing it first is faster
         for y in lower_covers[x]:
             forced |= masks[y]
-        sides = (strictly_below[x], strictly_above[x])
-        twins = [y for y in order[:k] if (strictly_below[y], strictly_above[y]) == sides]
-        used_at[x] = used
         for m in range(1 << width):
             run = m >> used
             if m & forced != forced or m.bit_count() > width - need[x] or run & (run + 1):
-                continue
-            if twins and key(m, used_at[twins[0]]) < key(masks[twins[-1]], used_at[twins[0]]):
                 continue
             if fits(x, m):
                 masks[x] = m

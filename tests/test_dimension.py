@@ -28,6 +28,7 @@ from finposet import (
     is_contractible,
     lower_bound,
     random_poset,
+    structure_stats,
     suspension,
     two_dimension,
     upper_bound,
@@ -154,24 +155,46 @@ def test_exists_embedding_at_width_guard():
         assert E is not None and E.width == w and verify_embedding(E)
 
 
-def search_matches_lexicographic_oracle(P):
-    for w in range(len(P) + 1):
+def search_matches_lexicographic_oracle(P, widths=None):
+    for w in range(len(P) + 1) if widths is None else widths:
         E = exists_embedding(P, w)
         assert (None if E is None else E.masks) == search_masks_lexicographic(P, w), w
 
 
 def test_search_masks_match_lexicographic_oracle_over_unlabeled_census():
-    # the bitset filter tries the documented candidates in increasing mask order
+    # the search returns the lexicographically least embedding at every width
     for n in range(1, 7):
         for P in enumerate_posets(n, up_to_iso=True):
             search_matches_lexicographic_oracle(P)
 
 
 def test_search_masks_match_lexicographic_oracle_on_search_routed_posets():
+    # refuting width value - 1 without the twin rule takes the oracle seconds, so widths start at the value
     for n, p, seed in ((10, 0.1, 5), (10, 0.15, 0), (10, 0.2, 0)):
         P = random_poset(n, p, seed)
         assert _down_sets(P.down_rows, dimension._Plan(P).order, dimension.COVER_LIMIT) is None
-        search_matches_lexicographic_oracle(P)
+        search_matches_lexicographic_oracle(P, range(backends_agree(P), n + 1))
+
+
+def test_search_finds_least_embedding_that_twin_keys_skipped():
+    # two 7-point classes whose least width-5 embedding an earlier twin rule,
+    # key(m) = (popcount(m >> u), m & (2^u - 1)), cut off
+    for rows, least in (
+        ((1, 2, 6, 10, 18, 34, 66), [3, 4, 13, 14, 21, 22, 28]),
+        ((1, 2, 6, 10, 18, 34, 67), [3, 4, 13, 14, 21, 22, 7]),
+    ):
+        P = Poset([str(i) for i in range(7)], rows)
+        E = exists_embedding(P, 5)
+        assert E is not None and E.masks == search_masks_lexicographic(P, 5)
+        assert [E.masks[x] for x in structure_stats(P).linear_extension] == least
+
+
+def test_search_masks_match_lexicographic_oracle_at_the_value():
+    for seed in range(100):
+        P = random_poset(7 + seed % 3, (0.2, 0.3, 0.4)[seed % 3], seed=seed)
+        w = two_dimension(P).value
+        E = exists_embedding(P, w)
+        assert E is not None and E.masks == search_masks_lexicographic(P, w)
 
 
 def test_two_dimension_known_values():
