@@ -7,10 +7,11 @@ bit i, and bitstrings print coordinate 0 first.
 
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by the number of up-sets: a cover of the critical
-pairs by up-sets, and an exhaustive width search that returns the
-lexicographically least embedding (pruned by up-set capacity and by the
-coordinate and twin symmetries that keep that embedding, and finding
-each point's candidate masks as one bitset over the cube).
+pairs by up-sets, the faster one on posets with few up-sets, and an
+exhaustive width search that returns the lexicographically least
+embedding (pruned by up-set capacity and by the coordinate and twin
+symmetries that keep that embedding, and finding each point's candidate
+masks as one bitset over the cube), the faster one on the rest.
 two_dimension builds one plan of P per call and hands it to its width
 loop and to the chosen backend, which is set up once and then answers
 one width per call; the loop asks widths upwards and verifies the first
@@ -49,13 +50,12 @@ SIZE_GUARD = 12
 # most COVER_LIMIT up-sets as an up-set cover, any other by the width
 # search.  Below 6 points the cover's fixed set-up costs more than the
 # whole search.  On the benchmark's 330 pool posets of 9-12 points, with
-# each backend forced, the cover took under half of the search's time at
-# most 250 up-sets, the search about a third of the cover's at 251-400,
-# and above 400 the search won by far (README, Guards).  The limit stays
-# above that crossover because a different route gives different
-# witnesses.
+# each backend forced, the cover took about a third of the search's time
+# at most 100 up-sets and three fifths of it at 101-250, and the search
+# a seventh of the cover's at 251-400.  Routing the pool at limits from
+# 100 to 400 was fastest at 250 (README, Guards).
 COVER_MIN_SIZE = 6
-COVER_LIMIT = 400
+COVER_LIMIT = 250
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,7 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
       the next.
     - Twins are interchangeable: swapping the masks of two twins gives
       another embedding, so along a twin class S*'s masks increase, and
-      a twin's mask is tried only above the previous twin's.  (An
-      earlier rule compared keys (popcount(m >> u), m & (2^u - 1)), u
-      the coordinates used before the first twin; it kept an embedding
-      but could skip the least one.)
+      a twin's mask is tried only above the previous twin's.
 
     The candidates of a position are found as one bitset over the w-cube,
     bit m standing for mask m: the AND of the up-cones of its covers'
@@ -341,8 +338,6 @@ def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
     """
     if width < 0:
         raise OutOfRange("width must be >= 0")
-    if width > WIDTH_GUARD:
-        raise TooWide(f"embedding search is capped at width {WIDTH_GUARD}")
     if len(P) == 0:
         raise EmptyPoset("the empty space has no embeddings")
     return _search_embedding(_Plan(P))(width)
@@ -369,8 +364,10 @@ def _cover_embedding(plan: _Plan, downs: list[int]) -> Callable[[int], CubeEmbed
 
     The returned function maps a width w to an embedding of P into the
     w-cube built from a cover of P's critical pairs by at most w up-sets,
-    or to None when there is no such cover.  Points are the plan's
-    positions, and its strict rows below and above give the order.
+    or to None when there is no such cover.  It keeps nothing from one
+    width to the next, so widths may be asked in any order.  Points are
+    the plan's positions, and its strict rows below and above give the
+    order.
 
     downs must list every down-set of P as masks over positions
     (``_down_sets(plan.below, range(len(P)))``); the up-sets are their
@@ -395,14 +392,9 @@ def _cover_embedding(plan: _Plan, downs: list[int]) -> Callable[[int], CubeEmbed
     not branched on: it must separate every uncovered pair, so
     intersecting the bitmasks (over kept up-sets) of the up-sets
     separating each uncovered pair names one, or proves there is none as
-    soon as the intersection is empty.  With k >= 3, a branch is skipped
-    when the uncovered pairs its up-set separates are a subset of those
-    of a branch that already failed: what it leaves uncovered contains
-    what that branch left, which has no cover by k - 1 up-sets.  (At
-    k = 2 the child's single intersection costs less than the test.)
-    Failed (k, uncovered) states with k >= 2 are remembered across
-    widths; the chosen up-sets are not.  Bit k of mask(x) is set iff x
-    is in the k-th chosen up-set, and _least_embedding verifies the result.
+    soon as the intersection is empty.  Bit k of mask(x) is set iff x is
+    in the k-th chosen up-set, and _least_embedding verifies the result.
+    The embedding need not be the least one that the width search gives.
     """
     below, above = plan.below, plan.above
     n = len(below)
@@ -438,7 +430,6 @@ def _cover_embedding(plan: _Plan, downs: list[int]) -> Callable[[int], CubeEmbed
         for p in _bits(c):
             owners[p] |= 1 << s
     rarest = sorted(owners, key=lambda p: owners[p].bit_count())
-    failed: set[tuple[int, int]] = set()
 
     def apart(k: int, uncovered: int) -> int:
         """Uncovered pairs no two of which one up-set separates, counted up to k + 1."""
@@ -465,21 +456,14 @@ def _cover_embedding(plan: _Plan, downs: list[int]) -> Callable[[int], CubeEmbed
                 if not common:
                     return None
             return [upset_of[kept[(common & -common).bit_length() - 1]]]
-        if (k, uncovered) in failed or apart(k, uncovered) > k:
-            failed.add((k, uncovered))
+        if apart(k, uncovered) > k:
             return None
         pair = next(p for p in rarest if uncovered >> p & 1)
-        tried: list[int] = []
         for s in _bits(owners[pair]):
             c = kept[s]
-            mine = c & uncovered
-            if k > 2 and any(mine | t == t for t in tried):
-                continue
             rest = cover(k - 1, uncovered & ~c)
             if rest is not None:
                 return [upset_of[c], *rest]
-            tried.append(mine)
-        failed.add((k, uncovered))
         return None
 
     def embed_at(width: int) -> CubeEmbedding | None:
@@ -503,6 +487,8 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     counts the up-sets.  One loop (_least_embedding) asks the chosen backend
     width by width from the plan's start, lower_bound(P);
     the first width answered, with its witness verified, is the value.
+    The witness is a verified embedding at that width; it is the
+    lexicographically least one only when the width search gave it.
     Sizes above max_size are refused (both backends are exponential); raise
     the cap explicitly to push further.
     """

@@ -444,7 +444,7 @@ def test_backend_choice_by_up_set_count(monkeypatch):
     for P, backend in (
         (antichain(5), "_search_embedding"),
         (antichain(7), "_cover_embedding"),
-        (antichain(8), "_cover_embedding"),
+        (antichain(8), "_search_embedding"),
         (antichain(9), "_search_embedding"),
     ):
         calls.clear()
@@ -452,12 +452,13 @@ def test_backend_choice_by_up_set_count(monkeypatch):
         assert set(calls) == {backend}
         assert cert.value == (4 if len(P) == 5 else 5)
         assert cert.exhausted_below and verify_embedding(cert.witness)
-    assert 5 < dimension.COVER_MIN_SIZE <= 7 and 256 <= dimension.COVER_LIMIT < 512
+    assert 5 < dimension.COVER_MIN_SIZE <= 7 and 128 <= dimension.COVER_LIMIT < 256
 
 
-# seeded random posets with 268-318 up-sets: the band that moved from the
-# width search to the up-set cover when COVER_LIMIT rose from 250 to 400
+# seeded random posets with 268-318 up-sets, past COVER_LIMIT
 MOVED_BAND = ((12, 0.3, 0, 318), (11, 0.2, 2, 300), (12, 0.2, 6, 268))
+# seeded random posets with 164-244 up-sets, within COVER_LIMIT
+COVER_BAND = ((10, 0.2, 2, 164), (11, 0.3, 0, 204), (12, 0.3, 3, 244))
 
 
 def test_backends_agree_on_moved_band():
@@ -467,11 +468,33 @@ def test_backends_agree_on_moved_band():
         assert backends_agree(P) == 6
 
 
-def test_moved_band_routes_to_cover(monkeypatch):
-    monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
+def test_moved_band_routes_to_search(monkeypatch):
+    monkeypatch.setattr(dimension, "_cover_embedding", lambda plan, downs: pytest.fail("routed to the cover"))
     for n, p, seed, _ in MOVED_BAND:
         cert = two_dimension(random_poset(n, p, seed))
         assert cert.value == 6 and cert.exhausted_below and verify_embedding(cert.witness)
+
+
+def cover_answers_every_width(P):
+    """Ask one cover for every width from |P| down to 0: it refutes exactly the widths the search refutes."""
+    plan = dimension._Plan(P)
+    embed_at = dimension._cover_embedding(plan, _down_sets(plan.below, range(len(P))))
+    for w in range(len(P), -1, -1):
+        E = embed_at(w)
+        assert (E is None) == (exists_embedding(P, w) is None), w
+        assert E is None or (E.width == w and verify_embedding(E))
+
+
+def test_cover_answers_every_width_downwards():
+    # the width loop asks widths upwards and stops at the value; the cover
+    # keeps no state between widths, so any order gives the same answers
+    for n in range(1, 7):
+        for P in enumerate_posets(n, up_to_iso=True):
+            cover_answers_every_width(P)
+    for n, p, seed, up_sets in COVER_BAND:
+        P = random_poset(n, p, seed)
+        assert len(_down_sets(P.down_rows, dimension._Plan(P).order)) == up_sets
+        cover_answers_every_width(P)
 
 
 def test_cover_raises_on_invalid_witness(monkeypatch):
@@ -493,7 +516,7 @@ def test_search_answers_are_verified(monkeypatch):
 def test_cover_leaves_up_rows_unbuilt(monkeypatch):
     # the cover reads the plan's ranked rows, never the poset's transpose
     monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
-    fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in MOVED_BAND]
+    fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in COVER_BAND]
     for P in fresh:
         assert P._up is None
         assert verify_embedding(two_dimension(P).witness)
