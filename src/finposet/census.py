@@ -4,12 +4,14 @@ Generation works on isomorphism classes, level by level: the classes on
 j+1 points are the canonical forms of the classes on j points with a new
 maximal point added above one of their down-closed subsets.  An
 extension is skipped before its canonical form when the new top would
-not have the largest down-set among the maximal points (the argument
-that this keeps every class is in ``_iso_classes``); the extensions
-that remain still meet some classes more than once, so each level is
-deduplicated by canonical form (``core._canonical_rows``), which also
-gives each class's |Aut|.  Labeled enumeration expands each class into
-its orbit, the distinct relabelings on 0..n-1.  Census checks run once
+not have the largest down-set among the maximal points, or when an
+automorphism of the class maps its down-set onto one already extended
+(the arguments that both keep every class are in ``_iso_classes``).
+The extensions that remain still meet some classes more than once, so
+each level is deduplicated by canonical form (``core._canonical_rows``),
+which also gives each class's |Aut| and the generators of Aut that the
+next level's orbits come from.  Labeled enumeration expands each class
+into its orbit, the distinct relabelings on 0..n-1.  Census checks run once
 per class and count a class's labeled posets as n!/|Aut|, the size of
 its orbit; only a failing class is expanded, into its counterexamples.
 
@@ -56,7 +58,9 @@ def _names(n: int) -> list[str]:
     return [str(i) for i in range(n)]
 
 
-def _iso_classes(n: int) -> tuple[list[Poset], list[int], int]:
+def _iso_classes(
+    n: int, log: Callable[[str], None] | None = None
+) -> tuple[list[Poset], list[int], int]:
     """One canonical representative per isomorphism class, sorted by row tuple,
     the order of each one's automorphism group, and the number of canonical
     forms computed on the way.
@@ -76,12 +80,29 @@ def _iso_classes(n: int) -> tuple[list[Poset], list[int], int]:
     maximal points of R outside d; they are the images of P's other
     maximal points, with down-sets of the same sizes, so none has a
     larger down-set than x and R + d is kept.
+
+    Of the down-sets left, only one per orbit of Aut(R) is extended
+    (McKay, "Isomorph-free exhaustive generation", 1998): an automorphism
+    s of R extends to an isomorphism from R + d onto R + s(d), and it
+    keeps down-set sizes and maximal points, so the filter above keeps
+    all of an orbit or none of it.  The orbits come from the generators
+    that ``_canonical_rows`` returned with R's form; the work is skipped
+    when |Aut(R)| is 1 or one down-set is left.
+
+    With a log, one ``STATS level`` line is passed to it as each level
+    finishes: its number of points, its classes, the down-sets the
+    filter kept, those dropped as not first in their orbit, the canonical
+    forms computed and the seconds.
     """
     level: list[tuple[int, ...]] = [()]
     forms: dict[tuple[int, ...], int] = {(): 1}  # canonical form -> |Aut|
+    generators: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}  # of the level to extend
     computed = 0
     for j in range(n):
-        forms = {}
+        start = time.perf_counter()
+        grown: dict[tuple[int, ...], int] = {}
+        grown_generators: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        heaviest = extended = 0
         for rows in level:
             below = 0
             for i, row in enumerate(rows):
@@ -91,16 +112,49 @@ def _iso_classes(n: int) -> tuple[list[Poset], list[int], int]:
             for i in _bits(~below & (1 << j) - 1):
                 for t in range(rows[i].bit_count()):
                     heavier[t] |= 1 << i
-            tops = [
-                d | 1 << j
-                for d in _down_sets(rows, range(j))
-                if not heavier[d.bit_count() + 1] & ~d
-            ]
-            forms.update(_canonical_rows(rows + (top,)) for top in tops)
-            computed += len(tops)
-        level = sorted(forms)
+            tops = [d for d in _down_sets(rows, range(j)) if not heavier[d.bit_count() + 1] & ~d]
+            heaviest += len(tops)
+            if forms[rows] > 1 and len(tops) > 1:
+                tops = _one_per_orbit(tops, generators[rows])
+            for d in tops:
+                form, order, gens = _canonical_rows(rows + (d | 1 << j,))
+                grown[form] = order
+                if j + 1 < n:  # the last level's generators would go unused
+                    grown_generators[form] = gens
+            extended += len(tops)
+        forms, generators, level = grown, grown_generators, sorted(grown)
+        computed += extended
+        if log is not None:
+            log(f"STATS level {j + 1} classes={len(level)} heaviest_tops={heaviest}"
+                f" orbit_pruned={heaviest - extended} canonical_forms={extended}"
+                f" seconds={time.perf_counter() - start:.3f}")
     names = _names(n)
     return [Poset(names, rows) for rows in level], [forms[rows] for rows in level], computed
+
+
+def _one_per_orbit(masks: list[int], generators: list[tuple[int, ...]]) -> list[int]:
+    """The first mask of each orbit, in the given order, of the group generated
+    by the generators (permutations of bit positions); masks is a union of orbits."""
+    images = [[1 << i for i in g] for g in generators]  # images[k][i]: bit i's image under g_k
+    kept, seen = [], set()
+    for d in masks:
+        if d in seen:
+            continue
+        kept.append(d)
+        seen.add(d)
+        todo = [d]
+        while todo:
+            m = todo.pop()
+            for image_of in images:
+                image, rest = 0, m
+                while rest:
+                    low = rest & -rest
+                    image |= image_of[low.bit_length() - 1]
+                    rest ^= low
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return kept
 
 
 def _orbit(rows: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -258,7 +312,8 @@ def census_check(
 
     Every check gets the same ``dim``: it computes the 2-dimension of
     each row tuple once and keeps it until the call returns.  With a log,
-    one ``STATS`` line is passed to it after the enumeration (classes,
+    ``STATS`` lines are passed to it: one per enumeration level as it
+    finishes (see ``_iso_classes``), one after the enumeration (classes,
     canonical forms computed, seconds) and one after each check
     (seconds, classes, 2-dimensions computed and asked for).
     """
@@ -280,7 +335,7 @@ def census_check(
         return d
 
     start = time.perf_counter()
-    classes, automorphisms, forms = _iso_classes(n)
+    classes, automorphisms, forms = _iso_classes(n, log)
     if log is not None:
         log(f"STATS enumerate classes={len(classes)} canonical_forms={forms}"
             f" seconds={time.perf_counter() - start:.3f}")

@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unlabeled", action="store_true")
     p.add_argument("--check", required=True, type=_check_names, help="comma-separated check names")
     p.add_argument(
-        "--stats", action="store_true", help="print enumeration and per-check statistics to stderr"
+        "--stats", action="store_true", help="print per-level enumeration and per-check statistics to stderr"
     )
     p.set_defaults(fn=_cmd_census)
 

@@ -11,7 +11,8 @@ subsets and order queries and topology queries coincide.
 
 Isomorphism has one engine, the canonical form ``_canonical_rows``: an
 individualization-refinement search whose cost is about one relabeling
-per automorphism left after twin swaps, and which also counts |Aut|.
+per automorphism left after twin swaps, and which also counts |Aut| and
+returns generators of Aut.
 ``is_isomorphic`` compares canonical forms and unlabeled enumeration
 dedupes by them.
 """
@@ -461,51 +462,22 @@ def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cell_starts(keys: list) -> list[int]:
-    """Colour each point by the first position of its key in sorted key order."""
-    first: dict = {}
-    for pos, key in enumerate(sorted(keys)):
-        first.setdefault(key, pos)
-    return [first[key] for key in keys]
-
-
-def _refine(down: list[list[int]], up: list[list[int]], colour: list[int]) -> list[int]:
-    """Split cells by the colours of strict down- and up-neighbours until stable.
-
-    A key starts with the point's own colour, so cells only split and
-    keep their order; a round that adds no cell is the fixed point.
-    """
-    n = len(colour)
-    cells = len(set(colour))
-    while cells < n:
-        colour = _cell_starts([
-            (
-                colour[i],
-                tuple(sorted([colour[j] for j in down[i]])),
-                tuple(sorted([colour[j] for j in up[i]])),
-            )
-            for i in range(n)
-        ])
-        split = len(set(colour))
-        if split == cells:
-            break
-        cells = split
-    return colour
-
-
-def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """A canonical relabeling, equal iff the posets are isomorphic, and |Aut|.
+def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """A canonical relabeling, equal iff the posets are isomorphic, |Aut|, and
+    generators of Aut as permutations of the canonical labels.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism II", 2014).  Points start coloured by their numbers of
-    strict down- and up-neighbours and are refined to a fixpoint; a
-    colour is the first position of its cell, so a discrete colouring is
-    itself the relabeling.  While some cell has several points, the
-    first such cell is searched: each of its points in turn takes the
-    cell's first position and the colouring is refined again.  The
-    canonical form is the smallest relabeled row tuple over all leaves.
-    Strict comparability strictly grows down-set sizes, so cell order
-    refines the poset order and the result is naturally labeled.
+    strict down- and up-neighbours and are refined to a fixpoint: each
+    round splits a cell by the colours of its points' strict down- and
+    up-neighbours.  A colour is the first position of its cell, so a
+    discrete colouring is itself the relabeling.  While some cell has
+    several points, the first such cell is searched: each of its points
+    in turn takes the cell's first position and the colouring is refined
+    again.  The canonical form is the smallest relabeled row tuple over
+    all leaves.  Strict comparability strictly grows down-set sizes, so
+    cell order refines the poset order and the result is naturally
+    labeled.
 
     The refinement and the choice of target cell are label-invariant, so
     Aut acts on the search tree, and freely on its leaves (discrete
@@ -517,41 +489,116 @@ def _canonical_rows(rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     subtrees are isomorphic to the one searched.  A branch therefore
     counts its smallest-form leaves times the number of its point's
     twins in the cell, and only branches reaching the smallest form are
-    summed.  The leaves visited number about |Aut| modulo twin swaps:
-    one for an antichain (|Aut| = n!), 24 for hypercube(4), 120 for five
-    disjoint 2-chains.
+    summed.  A target cell of one twin class splits nothing else when
+    its points are individualized in turn, so it is laid out in index
+    order in one step and counts k! leaves for its k points.  The leaves
+    visited number about |Aut| modulo twin swaps: one for an antichain
+    (|Aut| = n!), 24 for hypercube(4), 120 for five disjoint 2-chains.
+
+    The generators are the twin transpositions, for the subtrees the
+    search skips, and one permutation per smallest-form leaf after the
+    first, mapping the first leaf's labels to that leaf's (of a tied
+    branch, its first such leaf).  Together they generate Aut: along the
+    path to the first smallest leaf, each branch in the orbit of the
+    path's own is reached by one of them, and each twin of a branch point
+    by a transposition, and the stabiliser of the leaf is trivial.
     """
     n = len(rows)
-    down = [[j for j in _bits(row) if j != i] for i, row in enumerate(rows)]
-    up: list[list[int]] = [[] for _ in range(n)]
+    # slots of point i: i itself, each strict down-neighbour j, n + k for each
+    # strict up-neighbour k; up[j] is the strict up-set of j as a bitmask
+    nbrs = [[i] for i in range(n)]
+    up = [0] * n
+    for i, row in enumerate(rows):
+        bit, own = 1 << i, nbrs[i]
+        row ^= bit
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            own.append(j)
+            nbrs[j].append(n + i)
+            up[j] |= bit
+            row ^= low
+    # A refinement key sorts points by colour, then by the colours of their
+    # neighbours below, then above, each compared as a sorted tuple.  Points
+    # of one cell have equally many neighbours below and above, and multisets
+    # of one size order as sorted tuples exactly when their counts per colour,
+    # colour 0 first, order in reverse.  So a key is the colour shifted above
+    # one b-bit count per side and colour, minus those counts.
+    b = n.bit_length()
+    shift = 2 * b * n
+    weight = [1 << b * k for k in range(2 * n - 1, -1, -1)]
+    below, above = weight[:n], weight[n:]
+
+    def refine(colour: list[int], cells: int) -> tuple[list[int], int]:
+        while cells < n:
+            w = [*map(below.__getitem__, colour), *map(above.__getitem__, colour)]
+            starts = set(colour)
+            starts.add(n)
+            # a point alone in its cell keeps its colour, whatever its neighbours
+            keys = [
+                c << shift if c + 1 in starts else (c << shift) - sum(map(w.__getitem__, slots))
+                for c, slots in zip(colour, nbrs)
+            ]
+            ordered = sorted(keys)
+            first = dict(zip(reversed(ordered), range(n - 1, -1, -1)))
+            if len(first) == cells:
+                break
+            cells = len(first)
+            colour = list(map(first.__getitem__, keys))
+        return colour, cells
+
+    def smallest(colour: list[int], cells: int) -> tuple[tuple[int, ...], int, list[int], list[list[int]]]:
+        # the least form below this node, its smallest-form leaves, the
+        # first one's colouring, and the colourings of the others recorded
+        leaves = 1
+        while cells < n:
+            ordered = sorted(colour)
+            target = next(c for c, d in zip(ordered, ordered[1:]) if c == d)
+            members = [v for v, c in enumerate(colour) if c == target]
+            kinds = [rows[v] ^ 1 << v | up[v] << n for v in members]  # twin keys
+            if kinds.count(kinds[0]) < len(kinds):
+                break
+            # one twin class: individualizing its points in turn splits nothing else
+            colour = colour[:]
+            for pos, v in enumerate(members, target):
+                colour[v] = pos
+            cells += len(members) - 1
+            leaves *= math.factorial(len(members))
+        else:
+            w = [1 << c for c in colour] + [0] * n
+            form = [0] * n
+            for c, slots in zip(colour, nbrs):
+                form[c] = sum(map(w.__getitem__, slots))
+            return tuple(form), leaves, colour, []
+        best = None
+        for kind in dict.fromkeys(kinds):  # the first point of each twin class in the cell
+            v = members[kinds.index(kind)]
+            nxt = [c + (c == target and u != v) for u, c in enumerate(colour)]
+            form, k, leaf, others = smallest(*refine(nxt, cells + 1))
+            k *= kinds.count(kind)
+            if best is None or form < best:
+                best, count, first_leaf, tied = form, k, leaf, others
+            elif form == best:
+                count += k
+                tied.append(leaf)
+        return best, count * leaves, first_leaf, tied
+
+    start = [row.bit_count() * n + len(slots) for row, slots in zip(rows, nbrs)]
+    ordered = sorted(start)
+    first = dict(zip(reversed(ordered), range(n - 1, -1, -1)))
+    form, automorphisms, leaf, tied = smallest(*refine(list(map(first.__getitem__, start)), len(first)))
+    if automorphisms == 1:
+        return form, 1, []
+    point_at = sorted(range(n), key=leaf.__getitem__)
+    generators = [tuple(map(other.__getitem__, point_at)) for other in tied]
+    first_twin: dict[int, int] = {}
     for i in range(n):
-        for j in down[i]:
-            up[j].append(i)
-    twins: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    twin_of = [twins.setdefault((tuple(down[i]), tuple(up[i])), i) for i in range(n)]
-
-    def smallest(colour: list[int]) -> tuple[tuple[int, ...], int]:
-        cells = set(colour)
-        if len(cells) == n:
-            return _relabel(rows, tuple(colour)), 1
-        target = min(c for c in cells if colour.count(c) > 1)
-        # the twin class of each point in the target cell, -1 outside it;
-        # only the first point of each class is tried
-        kinds = [twin_of[v] if c == target else -1 for v, c in enumerate(colour)]
-        best, leaves = None, 0
-        for v, kind in enumerate(kinds):
-            if kind >= 0 and kinds.index(kind) == v:
-                nxt = [c + (c == target and i != v) for i, c in enumerate(colour)]
-                form, k = smallest(_refine(down, up, nxt))
-                k *= kinds.count(kind)
-                if best is None or form < best:
-                    best, leaves = form, k
-                elif form == best:
-                    leaves += k
-        return best, leaves
-
-    start = _cell_starts([(len(down[i]), len(up[i])) for i in range(n)])
-    return smallest(_refine(down, up, start))
+        t = first_twin.setdefault(rows[i] ^ 1 << i | up[i] << n, i)
+        if t != i:
+            swap = list(range(n))
+            swap[leaf[i]], swap[leaf[t]] = leaf[t], leaf[i]
+            generators.append(tuple(swap))
+    return form, automorphisms, generators
 
 
 def is_isomorphic(P: Poset, Q: Poset, guard: int = ISO_GUARD) -> bool:

@@ -9,7 +9,7 @@ fence, the small example space that several test files share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, permutations
+from itertools import combinations, count, permutations
 from typing import Iterable, Sequence
 
 from finposet import (
@@ -251,6 +251,33 @@ def is_isomorphic_brute(P: Poset, Q: Poset) -> bool:
     return any(
         all((p[j], p[i]) in rel_q for j, i in rel_p) for p in permutations(range(len(P)))
     )
+
+
+def heaviest_top_orbits(P: Poset) -> int:
+    """The orbits of Aut(P) on the down-sets d of P such that a new maximal point
+    above d would have a down-set at least as large as every maximal point's.
+
+    The automorphisms are the permutations of the elements that keep <= both
+    ways, the down-sets the subsets that hold everything below their
+    members, and each down-set is tested by building P with the new point.
+    """
+    elements = list(P.elements)
+    automorphisms = []
+    for image in permutations(elements):
+        f = dict(zip(elements, image))
+        if all(P.leq(x, y) == P.leq(f[x], f[y]) for x in elements for y in elements):
+            automorphisms.append(f)
+    top = max(elements, key=len, default="") + "'"  # longer than every element
+    pairs = [(x, y) for x in elements for y in elements if P.leq(x, y)]
+    kept = []
+    for size in range(len(elements) + 1):
+        for d in combinations(elements, size):
+            if not all(y in d for x in d for y in elements if P.leq(y, x)):
+                continue
+            Q = build_poset(elements + [top], pairs + [(x, top) for x in d])
+            if all(len(Q.down_set(m)) <= len(Q.down_set(top)) for m in Q.maximal_elements()):
+                kept.append(d)
+    return len({frozenset(frozenset(f[x] for x in d) for f in automorphisms) for d in kept})
 
 
 def two_dimension_cover(P: Poset) -> int:

@@ -292,8 +292,17 @@ def test_census_stats_go_to_stderr(capsys):
     assert err == ""
     code, out, err = run(capsys, *argv, "--stats")
     assert (code, out) == (0, plain)
-    enum, monotony, bounds = err.splitlines()
-    assert enum.startswith("STATS enumerate classes=16 canonical_forms=30 seconds=")
+    *levels, enum, monotony, bounds = err.splitlines()
+    # one line per enumeration level as it finishes, then the enumeration's total
+    assert [line.split()[:4] for line in levels] == [
+        ["STATS", "level", "1", "classes=1"],
+        ["STATS", "level", "2", "classes=2"],
+        ["STATS", "level", "3", "classes=5"],
+        ["STATS", "level", "4", "classes=16"],
+    ]
+    assert levels[-1].split()[4:7] == ["heaviest_tops=21", "orbit_pruned=5", "canonical_forms=16"]
+    # 30 canonical forms before the orbit pruning
+    assert enum.startswith("STATS enumerate classes=16 canonical_forms=24 seconds=")
     assert monotony.startswith("STATS check monotony classes=16 seconds=")
     assert monotony.endswith(" dims_computed=23 dims_asked=80")
     # bounds asks only for the 16 classes, whose values monotony computed

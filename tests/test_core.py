@@ -370,7 +370,33 @@ def test_canonical_rows_counts_automorphisms():
     pinned += [(chain(n), 1) for n in range(1, 6)]
     pinned += [(hypercube(3), 6), (hypercube(4), 24), (twos, 120)]
     for P, automorphisms in pinned:
-        assert _canonical_rows(P.down_rows)[1] == automorphisms
+        form, order, generators = _canonical_rows(P.down_rows)
+        assert order == automorphisms == group_order(generators, len(P))
+
+
+def group_order(generators, n):
+    """The order of the group of permutations of range(n) that the generators generate."""
+    identity = tuple(range(n))
+    group, todo = {identity}, [identity]
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return len(group)
+
+
+def test_canonical_generators_generate_the_automorphism_group():
+    # twin transpositions plus one permutation per further smallest-form leaf
+    assert group_order([(1, 0, 2), (0, 2, 1)], 3) == 6 and group_order([(1, 0, 2, 3)], 4) == 2
+    for n in range(7):
+        for P in enumerate_posets(n, up_to_iso=True):
+            form, automorphisms, generators = _canonical_rows(P.down_rows)
+            assert form == P.down_rows
+            assert all(sorted(g) == list(range(n)) and _relabel(form, g) == form for g in generators)
+            assert group_order(generators, n) == automorphisms
 
 
 def test_is_isomorphic_matches_brute_force_oracle():

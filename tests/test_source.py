@@ -185,3 +185,41 @@ def test_no_ambient_state():
     assert ambient_state(ast.parse(demo)) == [2, 4, 5, 6, 10]
     modules = parsed_modules()
     assert [f"{stem}:{line}" for stem, tree in modules.items() for line in ambient_state(tree)] == []
+
+
+def permutation_uses(modules: dict[str, ast.Module]) -> list[str]:
+    """Lines that read or import ``permutations`` anywhere but in census._orbit
+    (census may import the name itself, unaliased)."""
+    found = []
+    for stem, tree in modules.items():
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if stem == "census" and isinstance(fn, ast.FunctionDef) and fn.name == "_orbit"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names if a.name == "permutations" and (stem != "census" or a.asname)]
+            elif isinstance(node, ast.Name):
+                names = [node.id] if id(node) not in allowed else []
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr] if id(node) not in allowed else []
+            else:
+                continue
+            if "permutations" in names:
+                found.append(f"{stem}:{node.lineno}")
+    return found
+
+
+def test_permutations_only_list_labeled_orbits():
+    # a brute-force automorphism search over n! relabelings must not slip into the enumeration
+    demo = {
+        "census": ast.parse(
+            "from itertools import permutations\nimport itertools\n"
+            "def _orbit(r): return permutations(r)\ndef _iso(r): return itertools.permutations(r)"
+        ),
+        "core": ast.parse("from itertools import permutations as p"),
+    }
+    assert permutation_uses(demo) == ["census:4", "core:1"]
+    assert permutation_uses(parsed_modules()) == []
