@@ -9,9 +9,11 @@ Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by the number of up-sets: a cover of the critical
 pairs by up-sets, the faster one on posets with few up-sets, and an
 exhaustive width search that returns the lexicographically least
-embedding (pruned by up-set capacity and by the coordinate and twin
-symmetries that keep that embedding, and finding each point's candidate
-masks as one bitset over the cube), the faster one on the rest.
+embedding (keeping each point's candidate masks as one bitset over the
+cube, narrowed as earlier points are placed so that a branch ends as
+soon as a later point has no candidate left, and pruned by up-set
+capacity and by the coordinate and twin symmetries that keep that
+embedding), the faster one on the rest.
 two_dimension builds one plan of P per call and hands it to its width
 loop and to the chosen backend, which is set up once and then answers
 one width per call; the loop asks widths upwards and verifies the first
@@ -27,7 +29,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .core import (
-    Poset, StructureStats, _bits, _down_sets, _lower_covers, _ranked, remove_element, structure_stats
+    Poset, StructureStats, _bits, _down_sets, _ranked, remove_element, structure_stats
 )
 from .errors import (
     EmptyPoset,
@@ -39,10 +41,11 @@ from .errors import (
 )
 from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 
-# The width search filters candidates as bitsets of 2^width bits (128 KiB
-# each at width 20; per width a capacity table, two per placed mask and up
-# to 8 MiB of coordinate-class segments), so two_dimension and
-# exists_embedding refuse wider searches.
+# The width search keeps candidates as bitsets of 2^width bits (128 KiB
+# each at width 20; per width a capacity table, two cones per tried mask
+# and up to 8 MiB of coordinate-class segments, and along a branch up to
+# |P| domains per depth), so two_dimension and exists_embedding refuse
+# wider searches.
 WIDTH_GUARD = 20
 # Default size cap for the exact 2-dimension.
 SIZE_GUARD = 12
@@ -50,10 +53,12 @@ SIZE_GUARD = 12
 # most COVER_LIMIT up-sets as an up-set cover, any other by the width
 # search.  Below 6 points the cover's fixed set-up costs more than the
 # whole search.  On the benchmark's 330 pool posets of 9-12 points, with
-# each backend forced, the cover took about a third of the search's time
-# at most 100 up-sets and three fifths of it at 101-250, and the search
-# a seventh of the cover's at 251-400.  Routing the pool at limits from
-# 100 to 400 was fastest at 250 (README, Guards).
+# each backend forced, the cover took about half of the search's time at
+# most 100 up-sets, the search three quarters of the cover's at 101-250
+# and a seventeenth of it at 251-400.  Routing the pool at a limit of 100
+# or 150 is about 5% faster than at 250, and at 400 six times slower
+# (README, Guards).  The limit stays at 250: moving it changes which
+# backend answers, and so the witnesses.
 COVER_MIN_SIZE = 6
 COVER_LIMIT = 250
 
@@ -193,24 +198,35 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     embedding of P into the w-cube, comparing masks position by position
     along the plan's order (structure_stats(P).linear_extension), or to
     None when there is none; above WIDTH_GUARD it raises TooWide.  The
-    set-up lists per position the earlier positions it covers
-    (``core._lower_covers``), the earlier ones incomparable to it, and the
-    previous position (or -1) of its twin class (same strict down-set and
-    up-set).
+    set-up notes, for each position, which later positions lie above it
+    (every other later one is incomparable to it, since the order is a
+    linear extension) and the previous position (or -1) of its twin
+    class (same strict down-set and up-set).
 
     Each width backtracks along the plan's positions and tries each
     position's candidate masks in increasing order, so the first full
-    assignment found is the least one that passes the rules below.  The
-    mask of a point holds its covers' masks, differs from every mask so
-    far and is incomparable to the masks of its earlier incomparable
-    points; those are what an embedding is.  Three rules cut the rest,
+    assignment found is the least one that passes the rules below.  An
+    embedding gives a point a mask strictly above the masks of the points
+    below it and incomparable to the masks of the points incomparable to
+    it.  The search keeps these as domains, one candidate bitset per
+    position over the w-cube, bit m standing for mask m (forward
+    checking; Haralick & Elliott, AI 1980): placing mask m at a position
+    keeps, in the domain of each later position, the masks strictly above
+    m if that position is above it, and the masks incomparable to m
+    otherwise.  Every later position is strictly above or incomparable
+    to the placed ones, so its domain holds none of their masks and the
+    masks come out distinct.  m is skipped as soon as one of those
+    domains is empty, or when together they hold fewer masks than there
+    are later positions (a pigeonhole count), because then no embedding
+    extends the masks placed so far.  Three more rules cut the search,
     and the least embedding S* passes each of them:
 
     - Capacity: the strict up-set U of x sits strictly above mask(x),
       inside the sub-cube on the coordinates mask(x) leaves free, so
       those must number at least the longest chain in U and at least
       bit_length(|U|).  That is the plan's need(x), and mask(x) has at
-      most width - need(x) bits.  Every embedding passes this.
+      most width - need(x) bits.  Every embedding passes this, and the
+      domains start as these masks.
     - Coordinate classes (lex-leader symmetry breaking; Crawford,
       Ginsberg, Luks & Roy, KR 1996): coordinates that agree on every
       mask placed so far form a class, and permuting coordinates inside
@@ -229,22 +245,23 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
       another embedding, so along a twin class S*'s masks increase, and
       a twin's mask is tried only above the previous twin's.
 
-    The candidates of a position are found as one bitset over the w-cube,
-    bit m standing for mask m: the AND of the up-cones of its covers'
-    masks, the masks of at most w - need bits, those not yet taken, the
-    complements of the comparability cones of its earlier incomparable
-    points' masks, the segment of the coordinate classes (the masks that
-    pass their rule), and the masks above its previous twin's.  The
-    classes are passed down as the bitmask of their lowest coordinates.
-    The capacity table is built for each width, and the cones of each
-    mask and the segment of each set of classes once per width (segments
-    up to 8 MiB at a time); a bitset has 2^w bits, which is what
+    The candidates of a position are its domain, the segment of the
+    coordinate classes (the masks that pass their rule) and the masks
+    above its previous twin's.  The classes are passed down as the
+    bitmask of their lowest coordinates.  The domains and the pigeonhole
+    count only drop masks and branches that no embedding with the placed
+    prefix uses, so the order of the candidates and the first full
+    assignment, S*, are those of a search that checks each position only
+    when it reaches it.  The capacity table is built for each width, and
+    the cones of each mask and the segment of each set of classes once
+    per width (segments up to 8 MiB at a time).  A bitset has 2^w bits,
+    and a branch holds up to |P| of them at each depth, which is what
     WIDTH_GUARD caps.
     """
     below, above, need = plan.below, plan.above, plan.need
     n = len(below)
-    covers = tuple(tuple(_bits(lower)) for lower in _lower_covers(below))
-    incomparable = tuple(tuple(_bits(((1 << t) - 1) & ~row)) for t, row in enumerate(below))
+    # later[t][k]: whether position t + 1 + k is above position t
+    later = [[above[t] >> u & 1 for u in range(t + 1, n)] for t in range(n)]
     last: dict[tuple[int, int], int] = {}
     twin_prev = []
     for t, row in enumerate(below):
@@ -263,19 +280,18 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
         for i in range(width):
             for c in range(width, 0, -1):
                 at_most[c] |= at_most[c - 1] << (1 << i)
-        capped = [at_most[width - k] for k in need]
         cones: dict[int, tuple[int, int]] = {}
         segments: dict[int, int] = {}  # by the starts of the coordinate classes
 
         def cone(m: int) -> tuple[int, int]:
-            """The masks containing m, and the masks incomparable to m."""
+            """The masks strictly above m, and the masks incomparable to m."""
             up, down = 1 << m, 1
             for i in range(width):
                 if m >> i & 1:
                     down |= down << (1 << i)
                 else:
                     up |= up << (1 << i)
-            cones[m] = found = (up, full ^ (up | down))
+            cones[m] = found = (up ^ 1 << m, full ^ (up | down))
             return found
 
         def segment(starts: int) -> int:
@@ -298,33 +314,39 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             return found
 
         masks = [0] * n  # by position
-        ups = [0] * n  # the up-cone of each placed mask
-        apart = [0] * n  # the masks incomparable to each placed mask
 
-        def place(t: int, starts: int, untaken: int) -> bool:
-            if t == n:
-                return True
-            allowed = capped[t] & untaken & (segments.get(starts) or segment(starts))
-            for s in covers[t]:
-                allowed &= ups[s]
-            for s in incomparable[t]:
-                allowed &= apart[s]
+        def place(t: int, starts: int, domains: list[int]) -> bool:
+            """Fill positions t.. from their domains; domains[k] is position t + k's."""
+            allowed = domains[0] & (segments.get(starts) or segment(starts))
             prev = twin_prev[t]
             if prev >= 0:
                 allowed &= -2 << masks[prev]  # the masks above the previous twin's
+            rest, is_above = domains[1:], later[t]
             while allowed:
                 bit = allowed & -allowed
                 allowed ^= bit
                 m = bit.bit_length() - 1
-                masks[t] = m
-                ups[t], apart[t] = cones.get(m) or cone(m)
-                # a class splits where m holds one coordinate but not the next
-                if place(t + 1, starts | m ^ m << 1, untaken ^ bit):
-                    return True
+                up, apart = cones.get(m) or cone(m)
+                kept = []
+                union = 0
+                for d, a in zip(rest, is_above):
+                    d &= up if a else apart
+                    if not d:
+                        break
+                    kept.append(d)
+                    union |= d
+                else:
+                    # the later positions take distinct masks, so their domains must hold enough
+                    if union.bit_count() >= len(kept):
+                        masks[t] = m
+                        # a class splits where m holds one coordinate but not the next
+                        if not kept or place(t + 1, starts | m ^ m << 1, kept):
+                            return True
             return False
 
         # one class of all coordinates; bit width marks where a run past the last would start
-        return plan.embedding(width, masks) if place(0, 1 | 1 << width, full) else None
+        domains = [at_most[width - k] for k in need]
+        return plan.embedding(width, masks) if place(0, 1 | 1 << width, domains) else None
 
     return embed_at
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import comb
@@ -173,7 +174,7 @@ def test_search_masks_match_lexicographic_oracle_on_search_routed_posets():
     for n, p, seed in ((10, 0.1, 5), (10, 0.15, 0), (10, 0.2, 0)):
         P = random_poset(n, p, seed)
         assert _down_sets(P.down_rows, dimension._Plan(P).order, dimension.COVER_LIMIT) is None
-        search_matches_lexicographic_oracle(P, range(backends_agree(P), n + 1))
+        search_matches_lexicographic_oracle(P, range(backends_agree(P).width, n + 1))
 
 
 def test_search_finds_least_embedding_that_twin_keys_skipped():
@@ -402,7 +403,7 @@ def test_cover_oracle_matches_on_random_posets_with_twins():
 
 
 def backends_agree(P):
-    """Run both exact backends through the width loop, whatever the up-set count; return the width."""
+    """Run both exact backends through the width loop, whatever the up-set count; return the search's answer."""
     plan = dimension._Plan(P)
     downs = _down_sets(plan.below, range(len(P)))
     by_cover = dimension._least_embedding(plan, dimension._cover_embedding(plan, downs))
@@ -410,20 +411,35 @@ def backends_agree(P):
     assert by_cover.poset == by_search.poset == P
     assert by_cover.width == by_search.width
     assert verify_embedding(by_cover) and verify_embedding(by_search)
-    return by_cover.width
+    return by_search
+
+
+# SHA-256 of the search's width and masks, in element order, on the 2,450
+# classes of 1-7 points.  A pruning rule may only cut branches that hold no
+# least embedding, so it must leave this digest as it is.
+SEARCH_WITNESS_DIGEST = "dc6f1ff44560d329702edcfc66e3a677aadb78e07aec534975ccc39584183b13"
 
 
 def test_backends_agree_over_unlabeled_census():
+    witnesses = []
     for n in range(1, 8):
         for P in enumerate_posets(n, up_to_iso=True):
-            backends_agree(P)
+            E = backends_agree(P)
+            witnesses.append((E.width, [E.masks[x] for x in P.elements]))
+    assert len(witnesses) == 2450
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == SEARCH_WITNESS_DIGEST
 
 
 def test_backends_agree_on_random_posets_with_twins():
     for P in random_posets_with_twins():
         backends_agree(P)
-    # the search's slowest suspended 6-point poset (about 800k nodes at width 6)
-    assert backends_agree(suspension(disjoint_union(antichain(4), chain(2)))) == 7
+    # the search's slowest suspended 6-point poset (15,218 nodes at width 6)
+    assert backends_agree(suspension(disjoint_union(antichain(4), chain(2)))).width == 7
+
+
+def test_backends_agree_past_twelve_points():
+    # 14 points and 586 up-sets: past SIZE_GUARD, and two_dimension with max_size=14 sends it to the search
+    assert backends_agree(random_poset(14, 0.3, 0)).width == 7
 
 
 def test_backend_choice_by_up_set_count(monkeypatch):
@@ -465,7 +481,7 @@ def test_backends_agree_on_moved_band():
     for n, p, seed, up_sets in MOVED_BAND:
         P = random_poset(n, p, seed)
         assert len(_down_sets(P.down_rows, dimension._Plan(P).order)) == up_sets
-        assert backends_agree(P) == 6
+        assert backends_agree(P).width == 6
 
 
 def test_moved_band_routes_to_search(monkeypatch):
@@ -544,7 +560,7 @@ def test_capacity_rule_bounds_mask_size():
 
 
 def test_plan_covers_match_brute_force_oracle():
-    # the width search's covers, mapped back from positions to elements
+    # the lower covers over the plan's positions, mapped back to elements
     for n in range(1, 8):
         for P in enumerate_posets(n, up_to_iso=True):
             plan = dimension._Plan(P)
