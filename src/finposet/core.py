@@ -238,7 +238,7 @@ def covers(P: Poset) -> list[tuple[str, str]]:
     When the index order is already a linear extension (as for chains,
     cubes and canonical forms) the strict rows are read as they are."""
     down, names = P.down_rows, P.elements
-    if all(row >> i == 1 for i, row in enumerate(down)):
+    if _naturally_labeled(down):
         order: Sequence[int] = range(len(P))
         below = [row ^ 1 << i for i, row in enumerate(down)]
     else:
@@ -311,9 +311,16 @@ def induced_subposet(P: Poset, S: Iterable[str]) -> Poset:
 
 
 def remove_element(P: Poset, x: str) -> Poset:
-    """P without x (transitivity keeps all remaining comparabilities)."""
-    P.index(x)
-    return induced_subposet(P, [e for e in P.elements if e != x])
+    """P without x (transitivity keeps all remaining comparabilities).
+
+    Each row drops bit i, the index of x: the bits below i stay, and those
+    above it shift down by one.
+    """
+    i = P.index(x)
+    low = (1 << i) - 1
+    rows = [r & low | r >> (i + 1) << i for r in P.down_rows]
+    del rows[i]
+    return Poset(P.elements[:i] + P.elements[i + 1 :], rows)
 
 
 def topology_census(P: Poset) -> tuple[int, int]:
@@ -354,6 +361,12 @@ def _down_sets(rows: tuple[int, ...], order: Iterable[int], limit: float = math.
         if len(sets) > limit:
             break
     return sets if len(sets) <= limit else None
+
+
+def _naturally_labeled(rows: Sequence[int]) -> bool:
+    """Whether every strict predecessor of a point has a smaller index, that
+    is whether the index order is a linear extension of the reflexive rows."""
+    return all(row >> i == 1 for i, row in enumerate(rows))
 
 
 def _dense(rows: Sequence[int]) -> bool:
@@ -618,18 +631,28 @@ def structure_stats(P: Poset) -> StructureStats:
 
     The extension is the lexicographically least one: each step takes the
     first element, in declared order, whose strict down-set is already
-    placed.  One pass finds it: every element counts its unplaced
-    predecessors, and a heap holds the elements whose count is zero.
-    Placing an element lowers the counts of its successors and passes
-    them its depth plus one, so the height falls out of the same pass.
-    On dense rows (``_dense``) predecessors and successors are lower and
-    upper covers (read off ``_ranked`` along the down-set sizes), else
-    all strict pairs.  Both give the same pass: the placed set is
-    down-closed, so a point's strict down-set is placed exactly when its
-    lower covers are, and a longest chain is a chain of covers.
+    placed.  When the rows are naturally labeled (``_naturally_labeled``)
+    that is the declared order itself.  ``_linear_extension`` finds both
+    over indices, and the extension is named here.
     """
-    n = len(P)
-    rows = P.down_rows
+    height, order = _linear_extension(P.down_rows)
+    return StructureStats(height, [P.elements[i] for i in order])
+
+
+def _linear_extension(rows: Sequence[int]) -> tuple[int, list[int]]:
+    """structure_stats over reflexive down rows: the height and the least linear extension as indices.
+
+    One pass finds both: every index counts its unplaced predecessors,
+    and a heap holds the indices whose count is zero.  Placing an index
+    lowers the counts of its successors and passes them its depth plus
+    one, so the height falls out of the same pass.  On dense rows
+    (``_dense``) predecessors and successors are lower and upper covers
+    (read off ``_ranked`` along the down-set sizes), else all strict
+    pairs.  Both give the same pass: the placed set is down-closed, so a
+    point's strict down-set is placed exactly when its lower covers are,
+    and a longest chain is a chain of covers.
+    """
+    n = len(rows)
     succ: list[list[int]] = [[] for _ in range(n)]
     count = [0] * n
     if _dense(rows):
@@ -662,4 +685,4 @@ def structure_stats(P: Poset) -> StructureStats:
             count[k] -= 1
             if not count[k]:
                 heapq.heappush(ready, k)
-    return StructureStats(max(depth, default=0), [P.elements[i] for i in ext_idx])
+    return max(depth, default=0), ext_idx

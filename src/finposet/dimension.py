@@ -17,7 +17,8 @@ embedding), the faster one on the rest.
 two_dimension builds one plan of P per call and hands it to its width
 loop and to the chosen backend, which is set up once and then answers
 one width per call; the loop asks widths upwards and verifies the first
-answer.  The canonical
+answer.  The search's cube tables depend on the width alone and are kept
+for the process, within one byte budget.  The canonical
 characteristic-function embedding has width |P|, and a deflation replay
 turns a core computation into an embedding one new coordinate per
 removed point.
@@ -29,7 +30,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .core import (
-    Poset, StructureStats, _bits, _down_sets, _ranked, remove_element, structure_stats
+    Poset, StructureStats, _bits, _down_sets, _linear_extension, _naturally_labeled, _ranked, remove_element,
+    structure_stats,
 )
 from .errors import (
     EmptyPoset,
@@ -42,11 +44,15 @@ from .errors import (
 from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
 
 # The width search keeps candidates as bitsets of 2^width bits (128 KiB
-# each at width 20; per width a capacity table, two cones per tried mask
-# and up to 8 MiB of coordinate-class segments, and along a branch up to
-# |P| domains per depth), so two_dimension and exists_embedding refuse
-# wider searches.
+# each at width 20; the kept cube tables, up to CUBE_BITS, and along a
+# branch up to |P| domains per depth), so two_dimension and
+# exists_embedding refuse wider searches.  At the guard,
+# exists_embedding(disjoint_union(chain(19), antichain(4)), 20) takes
+# about 0.055 s and 64 MB of peak RSS on a 2-vCPU VM.
 WIDTH_GUARD = 20
+# The bits (8 MiB) that the width search's kept cube tables may hold,
+# all widths together (_CubeTables).
+CUBE_BITS = 1 << 26
 # Default size cap for the exact 2-dimension.
 SIZE_GUARD = 12
 # two_dimension solves a poset of at least COVER_MIN_SIZE points and at
@@ -161,34 +167,138 @@ def verify_embedding(E: CubeEmbedding) -> bool:
 
 
 class _Plan:
-    """What the exact backends need of P, ranked along a linear extension by ``core._ranked``.
+    """What the exact backends need of P, ranked along its least linear extension.
 
     two_dimension builds one per call, for its width loop and its backend.
     Both backends read start and the strict rows below and above, over
     positions along order, and return one mask per position to embedding().
+    The order is structure_stats(P).linear_extension as indices
+    (``core._linear_extension``, relabeled by ``core._ranked``); when P is
+    naturally labeled that is the index order, and the strict rows are
+    P's rows without their own bits.
     """
 
     def __init__(self, P: Poset):
-        n = len(P)
-        stats = structure_stats(P)
-        order = [P.index(e) for e in stats.linear_extension]
-        _, below, above = _ranked(P.down_rows, order)  # strict rows over positions
+        rows = P.down_rows
+        n = len(rows)
+        if _naturally_labeled(rows):
+            order: Sequence[int] = range(n)
+            below = [row ^ 1 << t for t, row in enumerate(rows)]
+        else:
+            order = _linear_extension(rows)[1]
+            below = _ranked(rows, order)[1]
+        # strict rows over positions, and the longest chain above each
+        above = [0] * n
         chain_above = [0] * n
         for t in reversed(range(n)):
+            bit, longer = 1 << t, chain_above[t] + 1
             for s in _bits(below[t]):
-                chain_above[s] = max(chain_above[s], chain_above[t] + 1)
+                above[s] |= bit
+                if chain_above[s] < longer:
+                    chain_above[s] = longer
         self.P, self.below, self.above = P, below, above
         self.order = tuple(order)  # element index at each position
         # free coordinates the strict up-set of each position needs
         self.need = tuple([max(chain_above[t], above[t].bit_count().bit_length()) for t in range(n)])
-        # no smaller width can succeed; every need is at most it, because
-        # need's terms are at most the height and bit_length(n - 1)
-        self.start = lower_bound(P, stats)
+        # lower_bound(P): no smaller width can succeed; every need is at most
+        # it, because need's terms are at most the height and bit_length(n - 1)
+        self.start = max((n - 1).bit_length(), max(chain_above, default=0))
 
     def embedding(self, width: int, masks: Sequence[int]) -> CubeEmbedding:
         """The embedding of P at width that gives position t the mask masks[t]."""
         P = self.P
         return CubeEmbedding(P, width, {P.elements[i]: masks[t] for t, i in enumerate(self.order)})
+
+
+class _Cube:
+    """The width search's tables at one width: at_most[c] holds the masks
+    of at most c bits (the capacity table), cones the masks strictly above
+    and incomparable to each mask met so far, and segments the masks that
+    pass each set of coordinate classes met so far.  No poset enters them."""
+
+    __slots__ = ("width", "full", "at_most", "cones", "segments", "tables")
+
+    def __init__(self, width: int, tables: _CubeTables):
+        self.width, self.tables = width, tables
+        self.cones: dict[int, tuple[int, int]] = {}
+        self.segments: dict[int, int] = {}  # by the starts of the coordinate classes
+        tables.count(self, width + 1)
+        self.full = (1 << (1 << width)) - 1  # every mask of the width-cube
+        # at_most[c], grown one coordinate i at a time
+        at_most = [1] * (width + 1)
+        for i in range(width):
+            for c in range(width, 0, -1):
+                at_most[c] |= at_most[c - 1] << (1 << i)
+        self.at_most = at_most
+
+    def cone(self, m: int) -> tuple[int, int]:
+        """The masks strictly above m, and the masks incomparable to m."""
+        self.tables.count(self, 2)
+        up, down = 1 << m, 1
+        for i in range(self.width):
+            if m >> i & 1:
+                down |= down << (1 << i)
+            else:
+                up |= up << (1 << i)
+        self.cones[m] = found = (up ^ 1 << m, self.full ^ (up | down))
+        return found
+
+    def segment(self, starts: int) -> int:
+        """The masks whose bits inside each coordinate class are the class's lowest ones.
+
+        The classes are runs of coordinates, and bit i of starts is set
+        when coordinate i is the lowest of its run.  A mask may hold i
+        only when i starts a run or the mask holds i - 1.  So, going up
+        the coordinates, the allowed masks holding i (top) are the
+        allowed masks so far at a start, or those holding i - 1
+        otherwise, each with bit i added.
+        """
+        self.tables.count(self, 1)
+        found = top = 1
+        for i in range(self.width):
+            top = (found if starts >> i & 1 else top) << (1 << i)
+            found |= top
+        self.segments[starts] = found
+        return found
+
+
+class _CubeTables:
+    """The width search's _Cube of each width, kept for the process.
+
+    A cube depends on its width alone, so a kept one never goes stale.
+    bits counts every bitset the cubes took since the last drop, and never
+    falls below what they hold; one that would pass CUBE_BITS first drops
+    every kept table.
+    """
+
+    def __init__(self) -> None:
+        self.cubes: dict[int, _Cube] = {}
+        self.bits = 0
+
+    def cube(self, width: int) -> _Cube:
+        cube = self.cubes.get(width)
+        if cube is None:
+            cube = self.cubes[width] = _Cube(width, self)
+        return cube
+
+    def count(self, cube: _Cube, bitsets: int) -> None:
+        """Count bitsets more of cube's width, after a drop if they would pass CUBE_BITS.
+
+        cube may belong to a search still running, which goes on filling
+        it after a drop, so its cones and segments are emptied in place
+        with the others'.
+        """
+        bits = bitsets << cube.width
+        if self.bits + bits > CUBE_BITS:
+            for kept in (*self.cubes.values(), cube):
+                kept.cones.clear()
+                kept.segments.clear()
+            self.cubes.clear()
+            self.bits = 0
+        self.bits += bits
+
+
+_cube_tables = _CubeTables()
 
 
 def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
@@ -252,11 +362,12 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     count only drop masks and branches that no embedding with the placed
     prefix uses, so the order of the candidates and the first full
     assignment, S*, are those of a search that checks each position only
-    when it reaches it.  The capacity table is built for each width, and
-    the cones of each mask and the segment of each set of classes once
-    per width (segments up to 8 MiB at a time).  A bitset has 2^w bits,
-    and a branch holds up to |P| of them at each depth, which is what
-    WIDTH_GUARD caps.
+    when it reaches it.  The capacity table, the cones of each mask and
+    the segment of each set of classes depend on the width alone: each
+    is built once and kept for the process in the width's _Cube, and
+    all of them together hold at most CUBE_BITS (_CubeTables).  A bitset
+    has 2^w bits, and a branch holds up to |P| of them at each depth,
+    which is what WIDTH_GUARD caps.
     """
     below, above, need = plan.below, plan.above, plan.need
     n = len(below)
@@ -274,45 +385,8 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             raise TooWide(f"embedding search is capped at width {WIDTH_GUARD}")
         if width < plan.start:
             return None
-        full = (1 << (1 << width)) - 1  # every mask of the width-cube
-        # at_most[c]: the masks of at most c bits, grown one coordinate i at a time
-        at_most = [1] * (width + 1)
-        for i in range(width):
-            for c in range(width, 0, -1):
-                at_most[c] |= at_most[c - 1] << (1 << i)
-        cones: dict[int, tuple[int, int]] = {}
-        segments: dict[int, int] = {}  # by the starts of the coordinate classes
-
-        def cone(m: int) -> tuple[int, int]:
-            """The masks strictly above m, and the masks incomparable to m."""
-            up, down = 1 << m, 1
-            for i in range(width):
-                if m >> i & 1:
-                    down |= down << (1 << i)
-                else:
-                    up |= up << (1 << i)
-            cones[m] = found = (up ^ 1 << m, full ^ (up | down))
-            return found
-
-        def segment(starts: int) -> int:
-            """The masks whose bits inside each coordinate class are the class's lowest ones.
-
-            The classes are runs of coordinates, and bit i of starts is set
-            when coordinate i is the lowest of its run.  A mask may hold i
-            only when i starts a run or the mask holds i - 1.  So, going up
-            the coordinates, the allowed masks holding i (top) are the
-            allowed masks so far at a start, or those holding i - 1
-            otherwise, each with bit i added.
-            """
-            found = top = 1
-            for i in range(width):
-                top = (found if starts >> i & 1 else top) << (1 << i)
-                found |= top
-            if len(segments) << width >= 1 << 26:  # keep at most 8 MiB of segments
-                segments.clear()
-            segments[starts] = found
-            return found
-
+        cube = _cube_tables.cube(width)
+        cones, cone, segments, segment = cube.cones, cube.cone, cube.segments, cube.segment
         masks = [0] * n  # by position
 
         def place(t: int, starts: int, domains: list[int]) -> bool:
@@ -345,7 +419,7 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             return False
 
         # one class of all coordinates; bit width marks where a run past the last would start
-        domains = [at_most[width - k] for k in need]
+        domains = [cube.at_most[width - k] for k in need]
         return plan.embedding(width, masks) if place(0, 1 | 1 << width, domains) else None
 
     return embed_at

@@ -2,12 +2,14 @@
 
 Each oracle follows its definition directly so that the package's fast
 routines can be checked against it.  MonotoneMap and is_initial_map, the
-map definitions that no package routine uses, live here too, and so does
-fence, the small example space that several test files share.
+map definitions that no package routine uses, live here too, and so do
+fence, the small example space that several test files share, and
+declared_shuffled, which relabels a poset at random.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations, count, permutations
 from typing import Iterable, Sequence
@@ -32,6 +34,19 @@ from finposet.dimension import WIDTH_GUARD
 def fence() -> Poset:
     # d < b, d < c, c < a: the four-point space with 7 open sets
     return build_poset("abcd", [("d", "b"), ("d", "c"), ("c", "a")])
+
+
+def declared_shuffled(P: Poset, seed: int) -> Poset:
+    """P with its points declared in a random order: point i moves to index perm[i]."""
+    n = len(P)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    names = [""] * n
+    rows = [0] * n
+    for i, x in enumerate(P.elements):
+        names[perm[i]] = x
+        rows[perm[i]] = sum(1 << perm[j] for j in range(n) if P.down_rows[i] >> j & 1)
+    return Poset(names, rows)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,12 @@ from finposet.core import (
     induced_subposet,
     opposite,
     product,
+    remove_element,
 )
 from oracles import (
     MonotoneMap,
     covers_brute,
+    declared_shuffled,
     fence,
     is_initial_map,
     is_isomorphic_brute,
@@ -104,16 +106,6 @@ def test_covers_match_brute_force_oracle():
         assert covers(P) == covers_brute(P)
     tower = suspension(antichain(2), 99)
     assert covers(tower) == covers_brute(tower)
-
-
-def declared_shuffled(P, seed):
-    """P with its points declared in a random order, rows relabeled to match."""
-    perm = list(range(len(P)))
-    random.Random(seed).shuffle(perm)
-    names = [""] * len(P)
-    for i, x in enumerate(P.elements):
-        names[perm[i]] = x
-    return Poset(names, _relabel(P.down_rows, perm))
 
 
 def test_covers_in_natural_and_shuffled_order():
@@ -226,6 +218,21 @@ def test_induced_subposet_keeps_comparabilities():
     assert not S.leq("b", "a")
     with pytest.raises(UnknownElement):
         induced_subposet(P, ["a", "z"])
+
+
+def test_remove_element_matches_induced_subposet():
+    # dropping one bit by shifts gives the same elements and rows as the rebuild
+    def removals_match(P):
+        for x in P.elements:
+            assert remove_element(P, x) == induced_subposet(P, [e for e in P.elements if e != x])
+        with pytest.raises(UnknownElement):
+            remove_element(P, "nowhere")
+
+    for n in range(1, 7):
+        for P in enumerate_posets(n, up_to_iso=True):
+            removals_match(P)
+    for seed in range(20):
+        removals_match(declared_shuffled(random_poset(4 + seed % 9, (0.2, 0.4, 0.6)[seed % 3], seed), seed))
 
 
 def test_topology_census_example_space():

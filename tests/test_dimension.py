@@ -41,13 +41,23 @@ from finposet.core import (
     _bits,
     _down_sets,
     _lower_covers,
+    _naturally_labeled,
     disjoint_union,
     induced_subposet,
     opposite,
     remove_element,
 )
 from finposet.dimension import extend_embedding_at_beat_point
-from oracles import covers_brute, exists_embedding_naive, fence, search_masks_lexicographic, two_dimension_cover
+from oracles import (
+    covers_brute,
+    declared_shuffled,
+    exists_embedding_naive,
+    fence,
+    ranked_rows_brute,
+    search_masks_lexicographic,
+    structure_stats_rescan,
+    two_dimension_cover,
+)
 
 
 def test_lower_bound():
@@ -430,6 +440,53 @@ def test_backends_agree_over_unlabeled_census():
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == SEARCH_WITNESS_DIGEST
 
 
+def two_dimension_digest_posets():
+    """Every class of 2-6 points, each followed by its one-point deletions,
+    then 100 seeded random posets of 9-12 points, none naturally labeled."""
+    for n in range(2, 7):
+        for P in enumerate_posets(n, up_to_iso=True):
+            yield P
+            for x in P.elements:
+                yield remove_element(P, x)
+    for seed in range(100):
+        yield random_poset(9 + seed % 4, (0.2, 0.35, 0.5)[seed % 3], seed)
+
+
+def two_dimension_witnesses(posets):
+    witnesses = []
+    for P in posets:
+        E = two_dimension(P, max_size=len(P)).witness
+        witnesses.append((E.width, [E.masks[x] for x in P.elements]))
+    return witnesses
+
+
+# SHA-256 of two_dimension's width and masks, in element order, on
+# two_dimension_digest_posets: 2,810 posets, both backends, both branches of
+# the plan.  A change to the solver's set-up must leave it as it is.
+TWO_DIMENSION_DIGEST = "03af32f44c1054887e6f4a7edc18bd2afd74c5ed43cff5bc0dda19ba338fe1cb"
+
+
+def test_two_dimension_witnesses_match_digest():
+    witnesses = two_dimension_witnesses(two_dimension_digest_posets())
+    assert len(witnesses) == 2810
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == TWO_DIMENSION_DIGEST
+
+
+def test_kept_cube_tables_stay_within_budget(monkeypatch):
+    # the width-20 probe passes the budget, which drops the small widths'
+    # tables; searches at those widths then rebuild them to the same answers
+    tables = dimension._CubeTables()
+    monkeypatch.setattr(dimension, "_cube_tables", tables)
+    small = [P for n in range(2, 6) for P in enumerate_posets(n, up_to_iso=True)]
+    before = two_dimension_witnesses(small)
+    assert set(tables.cubes) == {1, 2, 3, 4, 5}
+    assert exists_embedding(disjoint_union(chain(19), antichain(4)), 20) is not None
+    held = sum((len(c.at_most) + 2 * len(c.cones) + len(c.segments)) << c.width for c in tables.cubes.values())
+    assert held <= tables.bits <= dimension.CUBE_BITS
+    assert all(width == 20 for width in tables.cubes)
+    assert two_dimension_witnesses(small) == before
+
+
 def test_backends_agree_on_random_posets_with_twins():
     for P in random_posets_with_twins():
         backends_agree(P)
@@ -570,16 +627,33 @@ def test_plan_covers_match_brute_force_oracle():
             assert sorted(pairs, key=lambda p: (P.index(p[0]), P.index(p[1]))) == covers_brute(P)
 
 
-def test_structure_stats_once_per_two_dimension(monkeypatch):
-    # one plan per poset, and one width loop: each width from the plan's
-    # start up to the answer is asked once, in order, of the chosen backend
-    stats_calls = []
-    asked = []
-    structure_stats = dimension.structure_stats
+def test_plan_matches_rescan_and_pairwise_oracles():
+    # both branches of the plan: the index order of naturally labeled rows
+    # (every class) and the heap pass (shuffled classes, random posets)
+    shuffled = [declared_shuffled(P, n) for n in range(1, 7) for P in enumerate_posets(n, up_to_iso=True)]
+    randoms = [random_poset(4 + seed % 9, (0.2, 0.4, 0.6)[seed % 3], seed) for seed in range(30)]
+    classes = [P for n in range(1, 8) for P in enumerate_posets(n, up_to_iso=True)]
+    assert all(_naturally_labeled(P.down_rows) for P in classes)
+    assert sum(not _naturally_labeled(P.down_rows) for P in shuffled + randoms) > 300
+    for P in classes + shuffled + randoms:
+        plan = dimension._Plan(P)
+        order = [P.index(x) for x in structure_stats_rescan(P).linear_extension]
+        assert list(plan.order) == order
+        assert (plan.below, plan.above) == ranked_rows_brute(P.down_rows, order)[1:]
+        assert plan.start == lower_bound(P)
 
-    def counted_stats(P):
-        stats_calls.append(P)
-        return structure_stats(P)
+
+def test_linear_extension_once_per_two_dimension(monkeypatch):
+    # one plan per poset, which runs the heap pass only when the rows are not
+    # naturally labeled, and one width loop: each width from the plan's start
+    # up to the answer is asked once, in order, of the chosen backend
+    extensions = []
+    asked = []
+    linear_extension = dimension._linear_extension
+
+    def counted_extension(rows):
+        extensions.append(rows)
+        return linear_extension(rows)
 
     def counted(backend, factory):
         def set_up(*args):
@@ -593,19 +667,24 @@ def test_structure_stats_once_per_two_dimension(monkeypatch):
 
         return set_up
 
-    monkeypatch.setattr(dimension, "structure_stats", counted_stats)
+    monkeypatch.setattr(dimension, "_linear_extension", counted_extension)
     monkeypatch.setattr(dimension, "_search_embedding", counted("search", dimension._search_embedding))
     monkeypatch.setattr(dimension, "_cover_embedding", counted("cover", dimension._cover_embedding))
-    for P, backend in (
-        # 608 up-sets: the width search, at widths 4, 5 and 6
-        (disjoint_union(suspension(antichain(4)), antichain(5)), "search"),
-        # 67 up-sets: the up-set cover, which reads the same plan
-        (suspension(antichain(6)), "cover"),
+    # 608 up-sets: the width search, at widths 4, 5 and 6
+    searched = disjoint_union(suspension(antichain(4)), antichain(5))
+    # 67 up-sets: the up-set cover, which reads the same plan
+    covered = suspension(antichain(6))
+    # a shuffled declaration is not naturally labeled, so its plan runs the heap pass once
+    for P, backend, heap_passes in (
+        (searched, "search", 0),
+        (covered, "cover", 0),
+        (declared_shuffled(searched, 3), "search", 1),
+        (declared_shuffled(covered, 3), "cover", 1),
     ):
-        stats_calls.clear()
+        extensions.clear()
         asked.clear()
         assert two_dimension(P, max_size=len(P)).value == 6
-        assert len(stats_calls) == 1
+        assert len(extensions) == heap_passes
         start = dimension._Plan(P).start
         assert start < 6
         assert asked == [(backend, width) for width in range(start, 7)]
