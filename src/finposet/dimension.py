@@ -6,14 +6,14 @@ Embeddings are stored as one subset mask per element; coordinate i is
 bit i, and bitstrings print coordinate 0 first.
 
 Four routes produce certified embeddings.  Two are exact and sit behind
-two_dimension, chosen by the number of up-sets: a cover of the critical
-pairs by up-sets, the faster one on posets with few up-sets, and an
-exhaustive width search that returns the lexicographically least
-embedding (keeping each point's candidate masks as one bitset over the
-cube, narrowed as earlier points are placed so that a branch ends as
-soon as a later point has no candidate left, and pruned by up-set
-capacity and by the coordinate and twin symmetries that keep that
-embedding), the faster one on the rest.
+two_dimension, chosen by the number of up-sets: an exact colouring of
+the critical-pair graph, whose chromatic number is the 2-dimension, the
+faster one on posets with few up-sets, and an exhaustive width search
+that returns the lexicographically least embedding (keeping each point's
+candidate masks as one bitset over the cube, narrowed as earlier points
+are placed so that a branch ends as soon as a later point has no
+candidate left, and pruned by up-set capacity and by the coordinate and
+twin symmetries that keep that embedding), the faster one on the rest.
 two_dimension builds one plan of P per call and hands it to its width
 loop and to the chosen backend, which is set up once and then answers
 one width per call; the loop asks widths upwards and verifies the first
@@ -55,18 +55,16 @@ WIDTH_GUARD = 20
 CUBE_BITS = 1 << 26
 # Default size cap for the exact 2-dimension.
 SIZE_GUARD = 12
-# two_dimension solves a poset of at least COVER_MIN_SIZE points and at
-# most COVER_LIMIT up-sets as an up-set cover, any other by the width
-# search.  Below 6 points the cover's fixed set-up costs more than the
-# whole search.  On the benchmark's 330 pool posets of 9-12 points, with
-# each backend forced, the cover took about half of the search's time at
-# most 100 up-sets, the search three quarters of the cover's at 101-250
-# and a seventeenth of it at 251-400.  Routing the pool at a limit of 100
-# or 150 is about 5% faster than at 250, and at 400 six times slower
-# (README, Guards).  The limit stays at 250: moving it changes which
-# backend answers, and so the witnesses.
-COVER_MIN_SIZE = 6
-COVER_LIMIT = 250
+# two_dimension colours the critical-pair graph of a poset of at least
+# COLOUR_MIN_SIZE points and at most COLOUR_LIMIT up-sets, and gives any
+# other to the width search.  Below 6 points the colouring's set-up costs
+# more than the whole search.  With each backend forced on the
+# benchmark's 330 pool posets, the colouring took three fifths of the
+# search's time at most 250 up-sets and a quarter to a half more at
+# 251-400 (README, Guards); routing the pool at any limit from 150 to
+# 300 costs the same within 1.5%, least at 250, where the limit stays.
+COLOUR_MIN_SIZE = 6
+COLOUR_LIMIT = 250
 
 
 @dataclass(frozen=True)
@@ -452,122 +450,120 @@ def _least_embedding(plan: _Plan, embed_at: Callable[[int], CubeEmbedding | None
             if not verify_embedding(E):
                 raise InvalidEmbedding("the exact backend did not produce a valid embedding")
             return E
-    raise AssertionError("unreachable: the canonical embedding bounds width by |P|")
+    raise AssertionError("unreachable: both backends answer by width |P|")
 
 
-def _cover_embedding(plan: _Plan, downs: list[int]) -> Callable[[int], CubeEmbedding | None]:
-    """The up-set cover backend: set up once, then answer one width per call.
+def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
+    """The critical-pair colouring backend: set up once, then answer one width per call.
 
     The returned function maps a width w to an embedding of P into the
-    w-cube built from a cover of P's critical pairs by at most w up-sets,
-    or to None when there is no such cover.  It keeps nothing from one
+    w-cube, or to None when there is none; it keeps nothing from one
     width to the next, so widths may be asked in any order.  Points are
-    the plan's positions, and its strict rows below and above give the
-    order.
+    the plan's positions.  Coordinate k of an embedding is the up-set U_k
+    of points whose mask has bit k, so P embeds at width w iff w up-sets
+    separate (hold x, miss y) every pair x not<= y (Trotter's coordinate
+    view; Habib, Nourine, Raynaud & Thierry 2004).  Only critical pairs
+    need it: x not<= y with the strict down-set of x inside down(y) and
+    the strict up-set of y inside up(x).  Any other such pair has a z < x
+    with z not<= y, or a v > y with x not<= v, and an up-set separating
+    that pair separates (x, y); each step shrinks |down(x)| + |up(y)|, so
+    the steps end at a critical pair.  Critical pairs share a separating
+    up-set, the up-closure of their x's, iff no x_a <= y_b among them.
+    So P embeds at width w iff the graph G of critical pairs, joined when
+    x_a <= y_b or x_b <= y_a, has a w-colouring; colour c becomes
+    coordinate c.
 
-    downs must list every down-set of P as masks over positions
-    (``_down_sets(plan.below, range(len(P)))``); the up-sets are their
-    complements.  Coordinate k of an embedding into the w-cube picks out
-    the up-set U_k of points whose mask has bit k, and mask(x) is a subset
-    of mask(y) exactly when every U_k holding x holds y.  So P embeds at
-    width w iff w up-sets separate (hold x, miss y) every pair x not<= y
-    (Trotter's coordinate view; Habib, Nourine, Raynaud & Thierry 2004).
-
-    Only critical pairs need a separating up-set: x not<= y with the
-    strict down-set of x inside down(y) and the strict up-set of y inside
-    up(x).  Any other such pair has a z < x with z not<= y, or a v > y
-    with x not<= v, and an up-set separating that pair separates (x, y);
-    each step shrinks |down(x)| + |up(y)|, so the steps end at a critical
-    pair.  An up-set whose critical pairs another one also separates is
-    dropped.  All this is found once; each width w then searches for a
-    cover by at most w kept up-sets: branch over the up-sets separating
-    the uncovered pair that the fewest up-sets separate, and give up on k
-    more up-sets when k times the largest cannot reach the uncovered
-    count or when more than k uncovered pairs have no separating up-set
-    in common (a greedy packing, rarest pair first).  The last up-set is
-    not branched on: it must separate every uncovered pair, so
-    intersecting the bitmasks (over kept up-sets) of the up-sets
-    separating each uncovered pair names one, or proves there is none as
-    soon as the intersection is empty.  Bit k of mask(x) is set iff x is
-    in the k-th chosen up-set, and _least_embedding verifies the result.
-    The embedding need not be the least one that the width search gives.
+    The set-up numbers the critical pairs, builds G as bitmasks and fixes
+    a greedy clique, highest degree first, to colours 0..q-1, which
+    refutes every width below q at once.  Each width then runs an exact
+    DSATUR (Brelaz 1979; San Segundo, Computers & OR 2012) on the other
+    pairs: the pair with the most colours among its neighbours (then the
+    highest degree) is tried with each colour in use that they leave it,
+    then with one new colour, the next index, and a branch ends as soon
+    as some pair has all w colours among its neighbours.  The embedding
+    need not be the least one that the width search gives.
     """
     below, above = plan.below, plan.above
     n = len(below)
-    full = (1 << n) - 1
-    # critical[x]: the y with (x, y) critical, that is y above every strict
+    # the critical pairs (x, y), numbered by x then y: y above every strict
     # lower point of x, not above x, and strictly below nothing outside up(x)
-    critical = []
-    sources = target = 0
+    xs, ys = [], []
     for x in range(n):
-        row = outside = full & ~(above[x] | 1 << x)
+        row = outside = ~(above[x] | 1 << x) & ((1 << n) - 1)
         for z in _bits(below[x]):
             row &= above[z] | 1 << z
         for v in _bits(outside):
             row &= ~below[v]
-        critical.append(row)
-        if row:
-            sources |= 1 << x
-            target |= row << x * n  # pair (x, y) is bit x*n + y
-    upset_of: dict[int, int] = {}
-    for d in downs:
-        separated = 0
-        for x in _bits(sources & ~d):
-            separated |= (d & critical[x]) << x * n
-        upset_of.setdefault(separated, full & ~d)
-    kept: list[int] = []
-    for c in sorted(upset_of, key=int.bit_count, reverse=True):
-        if c and not any(c | k == k for k in kept):
-            kept.append(c)
-    largest = max((c.bit_count() for c in kept), default=0)
-    # owners[p]: the kept up-sets separating pair p, as a bitmask over kept
-    owners = dict.fromkeys(_bits(target), 0)
-    for s, c in enumerate(kept):
-        for p in _bits(c):
-            owners[p] |= 1 << s
-    rarest = sorted(owners, key=lambda p: owners[p].bit_count())
-
-    def apart(k: int, uncovered: int) -> int:
-        """Uncovered pairs no two of which one up-set separates, counted up to k + 1."""
-        used = count = 0
-        for p in rarest:
-            if uncovered >> p & 1 and not owners[p] & used:
-                used |= owners[p]
-                count += 1
-                if count > k:
-                    break
-        return count
-
-    def cover(k: int, uncovered: int) -> list[int] | None:
-        """At most k up-sets that together separate every uncovered pair, or None."""
-        if uncovered == 0:
-            return []
-        if k * largest < uncovered.bit_count():
-            return None
-        if k == 1:
-            # the last up-set must separate every uncovered pair at once
-            common = -1
-            for p in _bits(uncovered):
-                common &= owners[p]
-                if not common:
-                    return None
-            return [upset_of[kept[(common & -common).bit_length() - 1]]]
-        if apart(k, uncovered) > k:
-            return None
-        pair = next(p for p in rarest if uncovered >> p & 1)
-        for s in _bits(owners[pair]):
-            c = kept[s]
-            rest = cover(k - 1, uncovered & ~c)
-            if rest is not None:
-                return [upset_of[c], *rest]
-        return None
+        for y in _bits(row):
+            xs.append(x)
+            ys.append(y)
+    m = len(xs)
+    # the pairs whose x lies at or below each point and those whose y lies
+    # at or above it: each point's own, then passed along each s < t
+    x_at_or_below, y_at_or_above = [0] * n, [0] * n
+    for p, (x, y) in enumerate(zip(xs, ys)):
+        x_at_or_below[x] |= 1 << p
+        y_at_or_above[y] |= 1 << p
+    for t in range(n):
+        for s in _bits(below[t]):
+            x_at_or_below[t] |= x_at_or_below[s]
+            y_at_or_above[s] |= y_at_or_above[t]
+    # pair p meets the pairs whose x lies at or below p's y, and those whose y lies at or above p's x
+    meets = [x_at_or_below[y] | y_at_or_above[x] for x, y in zip(xs, ys)]
+    degree = [a.bit_count() for a in meets]
+    clique: list[int] = []
+    common = (1 << m) - 1
+    for p in sorted(range(m), key=degree.__getitem__, reverse=True):
+        if common >> p & 1:
+            clique.append(p)
+            common &= meets[p]
+    adjacent = [[q for q in range(m) if a >> q & 1] for a in meets]
+    # with the clique coloured: each pair's colour, the colours among its
+    # neighbours, and its rank (that colour count, then its degree)
+    step = m + 1
+    seeded_colour, seeded_blocked, seeded_rank = [0] * m, [0] * m, degree[:]
+    for c, p in enumerate(clique):
+        seeded_colour[p] = c
+        for r in adjacent[p]:
+            seeded_blocked[r] |= 1 << c
+            seeded_rank[r] += step
+    rest = sorted(set(range(m)).difference(clique))
 
     def embed_at(width: int) -> CubeEmbedding | None:
-        chosen = cover(width, target)
-        if chosen is None:
+        if width < len(clique):
             return None
-        masks = [sum(1 << k for k, U in enumerate(chosen) if U >> t & 1) for t in range(n)]
-        return plan.embedding(width, masks)
+        every = (1 << width) - 1
+        colour, blocked, rank = seeded_colour[:], seeded_blocked[:], seeded_rank[:]
+
+        def extend(left: list[int], used: int) -> bool:
+            """Colour the pairs in left, with colours 0..used-1 taken so far."""
+            if not left:
+                return True
+            p = max(left, key=rank.__getitem__)
+            later = [r for r in left if r != p]
+            # the colours in use that p's neighbours leave it, then one new colour
+            for c in _bits(~blocked[p] & ((1 << min(used + 1, width)) - 1)):
+                bit = 1 << c
+                # a coloured neighbour never has p's colour c, so it never gets all w either
+                touched = [r for r in adjacent[p] if not blocked[r] & bit]
+                for r in touched:
+                    blocked[r] |= bit
+                    rank[r] += step
+                if all(blocked[r] != every for r in touched) and extend(later, max(used, c + 1)):
+                    colour[p] = c
+                    return True
+                for r in touched:
+                    blocked[r] ^= bit
+                    rank[r] -= step
+            return False
+
+        if not extend(rest, len(clique)):
+            return None
+        # coordinate c: the up-closure of the x's of colour c
+        upsets = [0] * width
+        for x, c in zip(xs, colour):
+            upsets[c] |= above[x] | 1 << x
+        return plan.embedding(width, [sum(1 << c for c, U in enumerate(upsets) if U >> t & 1) for t in range(n)])
 
     return embed_at
 
@@ -576,15 +572,18 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     """The exact least embedding width, with a witness at that width.
 
     One plan of P (_Plan) feeds two exact backends, each set up once and
-    then answering one width per call: the up-set cover (_cover_embedding)
-    for a poset of at least COVER_MIN_SIZE points with at most COVER_LIMIT
-    up-sets, the width search (_search_embedding) for any other.  A down-set
-    walk over the plan's strict rows, stopped once it passes COVER_LIMIT,
-    counts the up-sets.  One loop (_least_embedding) asks the chosen backend
-    width by width from the plan's start, lower_bound(P);
-    the first width answered, with its witness verified, is the value.
-    The witness is a verified embedding at that width; it is the
-    lexicographically least one only when the width search gave it.
+    then answering one width per call: the colouring of the critical-pair
+    graph (_colour_embedding) for a poset of at least COLOUR_MIN_SIZE
+    points with at most COLOUR_LIMIT up-sets, the width search
+    (_search_embedding) for any other.  A down-set walk over the plan's
+    strict rows, stopped once it passes COLOUR_LIMIT, counts the up-sets
+    and only routes.  One loop (_least_embedding) asks the chosen backend
+    width by width from the plan's start, lower_bound(P), up to |P| at
+    most: the canonical embedding has width |P|, and the critical pairs
+    grouped by their y colour the graph with at most |P| colours, since no
+    x_a <= y holds inside a group.  The first width answered, with its
+    witness verified, is the value; the witness is the lexicographically
+    least embedding only when the width search gave it.
     Sizes above max_size are refused (both backends are exponential); raise
     the cap explicitly to push further.
     """
@@ -594,8 +593,8 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
     plan = _Plan(P)
-    downs = _down_sets(plan.below, range(n), COVER_LIMIT) if n >= COVER_MIN_SIZE else None
-    embed_at = _search_embedding(plan) if downs is None else _cover_embedding(plan, downs)
+    colour = n >= COLOUR_MIN_SIZE and _down_sets(plan.below, range(n), COLOUR_LIMIT) is not None
+    embed_at = _colour_embedding(plan) if colour else _search_embedding(plan)
     E = _least_embedding(plan, embed_at)
     return DimCertificate(E.width, E, True)
 

@@ -183,7 +183,7 @@ def test_search_masks_match_lexicographic_oracle_on_search_routed_posets():
     # refuting width value - 1 without the twin rule takes the oracle seconds, so widths start at the value
     for n, p, seed in ((10, 0.1, 5), (10, 0.15, 0), (10, 0.2, 0)):
         P = random_poset(n, p, seed)
-        assert _down_sets(P.down_rows, dimension._Plan(P).order, dimension.COVER_LIMIT) is None
+        assert _down_sets(P.down_rows, dimension._Plan(P).order, dimension.COLOUR_LIMIT) is None
         search_matches_lexicographic_oracle(P, range(backends_agree(P).width, n + 1))
 
 
@@ -415,12 +415,11 @@ def test_cover_oracle_matches_on_random_posets_with_twins():
 def backends_agree(P):
     """Run both exact backends through the width loop, whatever the up-set count; return the search's answer."""
     plan = dimension._Plan(P)
-    downs = _down_sets(plan.below, range(len(P)))
-    by_cover = dimension._least_embedding(plan, dimension._cover_embedding(plan, downs))
+    by_colour = dimension._least_embedding(plan, dimension._colour_embedding(plan))
     by_search = dimension._least_embedding(plan, dimension._search_embedding(plan))
-    assert by_cover.poset == by_search.poset == P
-    assert by_cover.width == by_search.width
-    assert verify_embedding(by_cover) and verify_embedding(by_search)
+    assert by_colour.poset == by_search.poset == P
+    assert by_colour.width == by_search.width
+    assert verify_embedding(by_colour) and verify_embedding(by_search)
     return by_search
 
 
@@ -463,7 +462,7 @@ def two_dimension_witnesses(posets):
 # SHA-256 of two_dimension's width and masks, in element order, on
 # two_dimension_digest_posets: 2,810 posets, both backends, both branches of
 # the plan.  A change to the solver's set-up must leave it as it is.
-TWO_DIMENSION_DIGEST = "03af32f44c1054887e6f4a7edc18bd2afd74c5ed43cff5bc0dda19ba338fe1cb"
+TWO_DIMENSION_DIGEST = "d8a48107d1842c76e769671d8bc49448aceec0da6872c5f8561434a8aa577aa8"
 
 
 def test_two_dimension_witnesses_match_digest():
@@ -499,6 +498,18 @@ def test_backends_agree_past_twelve_points():
     assert backends_agree(random_poset(14, 0.3, 0)).width == 7
 
 
+def test_colouring_answers_past_both_guards():
+    # past SIZE_GUARD, and the 48-point values past WIDTH_GUARD, where the search refuses to run
+    for (n, p, seed), value in (((48, 0.5, 0), 32), ((48, 0.5, 1), 35), ((24, 0.3, 1), 15)):
+        P = random_poset(n, p, seed)
+        cert = two_dimension(P, max_size=n)
+        assert cert.value == cert.witness.width == value
+        assert cert.exhausted_below and verify_embedding(cert.witness)
+        if value > dimension.WIDTH_GUARD:
+            with pytest.raises(TooWide):
+                exists_embedding(P, value)
+
+
 def test_backend_choice_by_up_set_count(monkeypatch):
     calls = []
 
@@ -511,12 +522,12 @@ def test_backend_choice_by_up_set_count(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(dimension, "_cover_embedding", counted("_cover_embedding"))
+    monkeypatch.setattr(dimension, "_colour_embedding", counted("_colour_embedding"))
     monkeypatch.setattr(dimension, "_search_embedding", counted("_search_embedding"))
     # antichains on 5, 7, 8 and 9 points have 32, 128, 256 and 512 up-sets
     for P, backend in (
         (antichain(5), "_search_embedding"),
-        (antichain(7), "_cover_embedding"),
+        (antichain(7), "_colour_embedding"),
         (antichain(8), "_search_embedding"),
         (antichain(9), "_search_embedding"),
     ):
@@ -525,13 +536,13 @@ def test_backend_choice_by_up_set_count(monkeypatch):
         assert set(calls) == {backend}
         assert cert.value == (4 if len(P) == 5 else 5)
         assert cert.exhausted_below and verify_embedding(cert.witness)
-    assert 5 < dimension.COVER_MIN_SIZE <= 7 and 128 <= dimension.COVER_LIMIT < 256
+    assert 5 < dimension.COLOUR_MIN_SIZE <= 7 and 128 <= dimension.COLOUR_LIMIT < 256
 
 
-# seeded random posets with 268-318 up-sets, past COVER_LIMIT
+# seeded random posets with 268-318 up-sets, past COLOUR_LIMIT
 MOVED_BAND = ((12, 0.3, 0, 318), (11, 0.2, 2, 300), (12, 0.2, 6, 268))
-# seeded random posets with 164-244 up-sets, within COVER_LIMIT
-COVER_BAND = ((10, 0.2, 2, 164), (11, 0.3, 0, 204), (12, 0.3, 3, 244))
+# seeded random posets with 164-244 up-sets, within COLOUR_LIMIT
+COLOUR_BAND = ((10, 0.2, 2, 164), (11, 0.3, 0, 204), (12, 0.3, 3, 244))
 
 
 def test_backends_agree_on_moved_band():
@@ -542,54 +553,54 @@ def test_backends_agree_on_moved_band():
 
 
 def test_moved_band_routes_to_search(monkeypatch):
-    monkeypatch.setattr(dimension, "_cover_embedding", lambda plan, downs: pytest.fail("routed to the cover"))
+    monkeypatch.setattr(dimension, "_colour_embedding", lambda plan: pytest.fail("routed to the colouring"))
     for n, p, seed, _ in MOVED_BAND:
         cert = two_dimension(random_poset(n, p, seed))
         assert cert.value == 6 and cert.exhausted_below and verify_embedding(cert.witness)
 
 
-def cover_answers_every_width(P):
-    """Ask one cover for every width from |P| down to 0: it refutes exactly the widths the search refutes."""
+def colouring_answers_every_width(P):
+    """Ask one colouring for every width from |P| down to 0: it refutes exactly the widths the search refutes."""
     plan = dimension._Plan(P)
-    embed_at = dimension._cover_embedding(plan, _down_sets(plan.below, range(len(P))))
+    embed_at = dimension._colour_embedding(plan)
     for w in range(len(P), -1, -1):
         E = embed_at(w)
         assert (E is None) == (exists_embedding(P, w) is None), w
         assert E is None or (E.width == w and verify_embedding(E))
 
 
-def test_cover_answers_every_width_downwards():
-    # the width loop asks widths upwards and stops at the value; the cover
-    # keeps no state between widths, so any order gives the same answers
+def test_colouring_answers_every_width_downwards():
+    # the width loop asks widths upwards and stops at the value; the
+    # colouring keeps no state between widths, so any order gives the same answers
     for n in range(1, 7):
         for P in enumerate_posets(n, up_to_iso=True):
-            cover_answers_every_width(P)
-    for n, p, seed, up_sets in COVER_BAND:
+            colouring_answers_every_width(P)
+    for n, p, seed, up_sets in COLOUR_BAND:
         P = random_poset(n, p, seed)
         assert len(_down_sets(P.down_rows, dimension._Plan(P).order)) == up_sets
-        cover_answers_every_width(P)
+        colouring_answers_every_width(P)
 
 
-def test_cover_raises_on_invalid_witness(monkeypatch):
+def test_colouring_raises_on_invalid_witness(monkeypatch):
     monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
     with pytest.raises(InvalidEmbedding):
         two_dimension(antichain(6))
 
 
 def test_search_answers_are_verified(monkeypatch):
-    # the width loop checks every witness, not only the cover's
-    monkeypatch.setattr(dimension, "_cover_embedding", lambda plan, downs: pytest.fail("routed to the cover"))
+    # the width loop checks every witness, not only the colouring's
+    monkeypatch.setattr(dimension, "_colour_embedding", lambda plan: pytest.fail("routed to the colouring"))
     monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
-    # the last one has 608 up-sets, past COVER_LIMIT
+    # the last one has 608 up-sets, past COLOUR_LIMIT
     for P in (antichain(5), chain(4), disjoint_union(suspension(antichain(4)), antichain(5))):
         with pytest.raises(InvalidEmbedding):
             two_dimension(P)
 
 
-def test_cover_leaves_up_rows_unbuilt(monkeypatch):
-    # the cover reads the plan's ranked rows, never the poset's transpose
+def test_colouring_leaves_up_rows_unbuilt(monkeypatch):
+    # the colouring reads the plan's ranked rows, never the poset's transpose
     monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
-    fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in COVER_BAND]
+    fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in COLOUR_BAND]
     for P in fresh:
         assert P._up is None
         assert verify_embedding(two_dimension(P).witness)
@@ -669,17 +680,17 @@ def test_linear_extension_once_per_two_dimension(monkeypatch):
 
     monkeypatch.setattr(dimension, "_linear_extension", counted_extension)
     monkeypatch.setattr(dimension, "_search_embedding", counted("search", dimension._search_embedding))
-    monkeypatch.setattr(dimension, "_cover_embedding", counted("cover", dimension._cover_embedding))
+    monkeypatch.setattr(dimension, "_colour_embedding", counted("colour", dimension._colour_embedding))
     # 608 up-sets: the width search, at widths 4, 5 and 6
     searched = disjoint_union(suspension(antichain(4)), antichain(5))
-    # 67 up-sets: the up-set cover, which reads the same plan
-    covered = suspension(antichain(6))
+    # 67 up-sets: the colouring, which reads the same plan
+    coloured = suspension(antichain(6))
     # a shuffled declaration is not naturally labeled, so its plan runs the heap pass once
     for P, backend, heap_passes in (
         (searched, "search", 0),
-        (covered, "cover", 0),
+        (coloured, "colour", 0),
         (declared_shuffled(searched, 3), "search", 1),
-        (declared_shuffled(covered, 3), "cover", 1),
+        (declared_shuffled(coloured, 3), "colour", 1),
     ):
         extensions.clear()
         asked.clear()

@@ -59,10 +59,10 @@ def module_guards() -> dict[str, int]:
     }
 
 
-def test_readme_quotes_cover_constants():
+def test_readme_quotes_colour_constants():
     # README states the selector's constants and every cap in prose; a changed constant must change the text
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
-    constants = {name: getattr(dimension, name) for name in ("COVER_LIMIT", "COVER_MIN_SIZE")} | module_guards()
+    constants = {name: getattr(dimension, name) for name in ("COLOUR_LIMIT", "COLOUR_MIN_SIZE")} | module_guards()
     constants["TRANSPOSE_MIN_DEGREE"] = importlib.import_module("finposet.core").TRANSPOSE_MIN_DEGREE
     assert {"SIZE_GUARD", "ISO_GUARD", "HYPERCUBE_GUARD"} < set(constants)
     quoted = re.findall(rf"`({'|'.join(constants)})`\s*(?:\(|=\s*)(\d+)", readme)
