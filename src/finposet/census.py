@@ -42,7 +42,7 @@ from .core import (
 )
 from .constructions import suspension
 from .dimension import (
-    _replay_deflation,
+    contractible_embedding,
     lower_bound,
     two_dimension,
     upper_bound,
@@ -249,7 +249,7 @@ def _check_contractible_bound(P: Poset, dim: Callable[[Poset], int]) -> bool:
     if not trace.contractible:
         return True
     bound = max(len(P) - 1, 0)
-    return _replay_deflation(trace).width == bound and dim(P) <= bound
+    return contractible_embedding(P, trace=trace).width == bound and dim(P) <= bound
 
 
 def _check_suspension(P: Poset, dim: Callable[[Poset], int]) -> bool:

@@ -16,8 +16,8 @@ from .constructions import antichain, chain, cone, hypercube, suspension
 from .core import Poset, structure_stats
 from .dimension import (
     SIZE_GUARD,
-    _replay_deflation,
     canonical_embedding,
+    contractible_embedding,
     lower_bound,
     two_dimension,
     upper_bound,
@@ -82,7 +82,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if args.method == "canonical":
         E = canonical_embedding(P)
     elif args.method == "contractible":
-        E = _replay_deflation(core(P), args.max_size)
+        E = contractible_embedding(P, args.max_size)
     else:
         E = two_dimension(P, max_size=args.max_size).witness
     sys.stdout.write(format_embedding(E))

@@ -6,7 +6,7 @@ Embeddings are stored as one subset mask per element; coordinate i is
 bit i, and bitstrings print coordinate 0 first.
 
 Four routes produce certified embeddings.  Two are exact and sit behind
-two_dimension, chosen by the number of up-sets: an exact colouring of
+two_dimension, chosen by size and up-set count: an exact colouring of
 the critical-pair graph, whose chromatic number is the 2-dimension, the
 faster one on posets with few up-sets, and an exhaustive width search
 that returns the lexicographically least embedding (keeping each point's
@@ -57,12 +57,11 @@ CUBE_BITS = 1 << 26
 SIZE_GUARD = 12
 # two_dimension colours the critical-pair graph of a poset of at least
 # COLOUR_MIN_SIZE points and at most COLOUR_LIMIT up-sets, and gives any
-# other to the width search.  Below 6 points the colouring's set-up costs
-# more than the whole search.  With each backend forced on the
-# benchmark's 330 pool posets, the colouring took three fifths of the
-# search's time at most 250 up-sets and a quarter to a half more at
-# 251-400 (README, Guards); routing the pool at any limit from 150 to
-# 300 costs the same within 1.5%, least at 250, where the limit stays.
+# other to the width search.  Each backend forced, the search is the
+# faster on the classes of 6 and 7 points and the colouring on those of
+# 8; routing the pool at any limit from 150 to 300 costs the same within
+# 1.5%, least at 250.  README, Guards, has the figures; both values stay
+# until a benchmark run shows that moving one pays.
 COLOUR_MIN_SIZE = 6
 COLOUR_LIMIT = 250
 
@@ -463,8 +462,9 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     of points whose mask has bit k, so P embeds at width w iff w up-sets
     separate (hold x, miss y) every pair x not<= y (Trotter's coordinate
     view; Habib, Nourine, Raynaud & Thierry 2004).  Only critical pairs
-    need it: x not<= y with the strict down-set of x inside down(y) and
-    the strict up-set of y inside up(x).  Any other such pair has a z < x
+    need it, found by three subset tests on the plan's rows (down and up
+    add the point to below and above): x not in down(y), below(x) inside
+    down(y) and above(y) inside up(x).  Any other pair x not<= y has a z < x
     with z not<= y, or a v > y with x not<= v, and an up-set separating
     that pair separates (x, y); each step shrinks |down(x)| + |up(y)|, so
     the steps end at a critical pair.  Critical pairs share a separating
@@ -485,23 +485,20 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     """
     below, above = plan.below, plan.above
     n = len(below)
-    # the critical pairs (x, y), numbered by x then y: y above every strict
-    # lower point of x, not above x, and strictly below nothing outside up(x)
-    xs, ys = [], []
-    for x in range(n):
-        row = outside = ~(above[x] | 1 << x) & ((1 << n) - 1)
-        for z in _bits(below[x]):
-            row &= above[z] | 1 << z
-        for v in _bits(outside):
-            row &= ~below[v]
-        for y in _bits(row):
-            xs.append(x)
-            ys.append(y)
-    m = len(xs)
+    up = [row | 1 << t for t, row in enumerate(above)]
+    down = [row | 1 << t for t, row in enumerate(below)]
+    # the critical pairs (x, y), numbered by x then y, by the three subset tests
+    pairs = [
+        (x, y)
+        for x, (strict_down, up_x) in enumerate(zip(below, up))
+        for y, (down_y, strict_up) in enumerate(zip(down, above))
+        if not down_y >> x & 1 and strict_down | down_y == down_y and strict_up | up_x == up_x
+    ]
+    m = len(pairs)
     # the pairs whose x lies at or below each point and those whose y lies
     # at or above it: each point's own, then passed along each s < t
     x_at_or_below, y_at_or_above = [0] * n, [0] * n
-    for p, (x, y) in enumerate(zip(xs, ys)):
+    for p, (x, y) in enumerate(pairs):
         x_at_or_below[x] |= 1 << p
         y_at_or_above[y] |= 1 << p
     for t in range(n):
@@ -509,7 +506,7 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             x_at_or_below[t] |= x_at_or_below[s]
             y_at_or_above[s] |= y_at_or_above[t]
     # pair p meets the pairs whose x lies at or below p's y, and those whose y lies at or above p's x
-    meets = [x_at_or_below[y] | y_at_or_above[x] for x, y in zip(xs, ys)]
+    meets = [x_at_or_below[y] | y_at_or_above[x] for x, y in pairs]
     degree = [a.bit_count() for a in meets]
     clique: list[int] = []
     common = (1 << m) - 1
@@ -561,8 +558,8 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             return None
         # coordinate c: the up-closure of the x's of colour c
         upsets = [0] * width
-        for x, c in zip(xs, colour):
-            upsets[c] |= above[x] | 1 << x
+        for (x, _), c in zip(pairs, colour):
+            upsets[c] |= up[x]
         return plan.embedding(width, [sum(1 << c for c, U in enumerate(upsets) if U >> t & 1) for t in range(n)])
 
     return embed_at
@@ -648,22 +645,22 @@ def extend_embedding_at_beat_point(
     return CubeEmbedding(P, E.width + 1, {z: masks[z] for z in P.elements})
 
 
-def contractible_embedding(P: Poset) -> CubeEmbedding:
+def contractible_embedding(
+    P: Poset, max_size: int = SIZE_GUARD, trace: CoreTrace | None = None
+) -> CubeEmbedding:
     """An embedding built by replaying a deflation to the core in reverse.
 
     The core is embedded exactly (trivially, at width 0, when P is
-    contractible); re-adding the removed beat points costs one coordinate
-    each, so a contractible space on n points lands in width n - 1.  The
-    replay grows one mask dict over alive masks on P's rows, and the
-    result is verified once; InvalidEmbedding means that check failed.
+    contractible), by two_dimension under max_size; re-adding the removed
+    beat points costs one coordinate each, so a contractible space on n
+    points lands in width n - 1.  The replay grows one mask dict over
+    alive masks on P's rows, and the result is verified once;
+    InvalidEmbedding means that check failed.  A caller that already
+    holds core(P) passes it as trace, so that P is deflated only once.
     """
-    return _replay_deflation(core(P))
-
-
-def _replay_deflation(trace: CoreTrace, max_size: int = SIZE_GUARD) -> CubeEmbedding:
-    """contractible_embedding(trace.start), replaying a deflation already computed;
-    max_size caps the core's exact embedding as in ``two_dimension``."""
-    P, base = trace.start, trace.core
+    if trace is None:
+        trace = core(P)
+    base = trace.core
     if len(base) == 1:
         width, masks = 0, {base.elements[0]: 0}
     else:

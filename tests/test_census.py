@@ -7,6 +7,7 @@ import pytest
 
 from finposet import (
     EmptyPoset,
+    OutOfRange,
     TooLarge,
     UnknownCheck,
     antichain,
@@ -14,6 +15,7 @@ from finposet import (
     chain,
     is_isomorphic,
     random_poset,
+    suspension,
 )
 from finposet import census, homotopy
 from finposet.census import CHECKS, enumerate_posets
@@ -120,6 +122,9 @@ def test_enumeration_guards():
         enumerate_posets(7)
     with pytest.raises(TooLarge):
         enumerate_posets(9, up_to_iso=True)
+    for up_to_iso in (False, True):
+        with pytest.raises(OutOfRange):
+            enumerate_posets(-1, up_to_iso)
 
 
 def test_unlabeled_count_8():
@@ -208,6 +213,9 @@ def test_random_poset():
     assert len(seen) > 1
     for s in range(30):
         random_poset(7, 0.3, seed=s).check()
+    for n, p in ((-1, 0.5), (3, 1.5), (3, -0.1)):
+        with pytest.raises(OutOfRange):
+            random_poset(n, p)
 
 
 def test_census_check_reports():
@@ -350,6 +358,17 @@ def test_check_called_directly_keeps_nothing(monkeypatch):
     assert len(asked) == 1 + len(P)
     assert CHECKS["monotony"](P, dim)
     assert len(asked) == 2 * (1 + len(P))
+
+
+def test_checks_fail_on_a_wrong_dimension_or_core(monkeypatch):
+    # chain(3) drops to chain(2), 9 to 4 under this dim: more than one
+    assert not CHECKS["beat-continuity"](chain(3), lambda P: len(P) ** 2)
+    assert CHECKS["beat-continuity"](chain(3), exact_dim)
+    # seeded deflations that reach another 4-point core than the first one
+    circle, real = suspension(antichain(2)), homotopy.core
+    monkeypatch.setattr(census, "core", lambda P, rng=None: real(P if rng is None else circle))
+    assert not CHECKS["core-uniqueness"](antichain(4), exact_dim)
+    assert CHECKS["core-uniqueness"](circle, exact_dim)
 
 
 def test_core_uniqueness_compares_rows_first(monkeypatch):

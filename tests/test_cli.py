@@ -401,3 +401,30 @@ print(json.dumps(counts))
     counts = json.loads(done.stdout.splitlines()[-1])
     assert counts[0] == 0 and counts[1] > 0
     assert counts[1:] == [counts[1]] * 3
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cli_as_a_process(tmp_path, flags):
+    # python -O strips assert statements, so these exits must come from raised errors
+    files = {
+        "cyc.poset": "a < b\nb < c\nc < a\n",
+        "bad.poset": "this is not a poset line\n",
+        "ab.poset": "a < b\n",
+        "ab.emb": "width 1\na 1\nb 0\n",  # a's mask above b's
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def finposet(*argv):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "finposet.cli", *argv], capture_output=True, text=True,
+            timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = finposet("dim", "cyc.poset")
+    assert (code, out) == (1, "") and "cycle" in err
+    code, out, err = finposet("dim", "bad.poset")
+    assert (code, out) == (2, "") and "unparseable line" in err
+    assert finposet("verify", "ab.poset", "ab.emb") == (1, "valid false\n", "")

@@ -101,6 +101,8 @@ def test_chain_antichain():
     assert len(chain(0)) == 0 and len(antichain(0)) == 0
     with pytest.raises(OutOfRange):
         chain(-1)
+    with pytest.raises(OutOfRange):
+        antichain(-1)
 
 
 def test_hypercube():

@@ -67,8 +67,14 @@ def test_build_rejects_bad_input():
         build_poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
     with pytest.raises(UnknownElement):
         build_poset("ab", [("a", "z")])
+    with pytest.raises(UnknownElement):
+        build_poset("ab", [("z", "a")])
     with pytest.raises(ValueError):
         build_poset("aab", [])
+    with pytest.raises(ValueError, match="duplicate"):
+        Poset("aab", [0b001, 0b010, 0b100])
+    with pytest.raises(ValueError, match="row count"):
+        Poset("ab", [0b01])
     with pytest.raises(UnknownElement):
         fence().index("z")
 
@@ -439,5 +445,7 @@ def test_equality_and_hash():
     assert fence() == fence()
     assert hash(fence()) == hash(fence())
     assert fence() != opposite(fence())
+    assert fence() != "fence" and fence().__eq__("fence") is NotImplemented
+    assert repr(chain(2)) == "Poset(['0', '1'], covers=[('0', '1')])"
     d = {fence(): 1}
     assert d[fence()] == 1

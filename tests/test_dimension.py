@@ -35,7 +35,7 @@ from finposet import (
     upper_bound,
     verify_embedding,
 )
-from finposet import dimension
+from finposet import dimension, homotopy
 from finposet.census import enumerate_posets
 from finposet.core import (
     _bits,
@@ -74,6 +74,8 @@ def test_upper_bound():
     assert upper_bound(chain(4)) == 3  # contractible
     assert upper_bound(antichain(2)) == 2  # not contractible
     assert upper_bound(fence()) == 3
+    with pytest.raises(EmptyPoset):
+        upper_bound(Poset([], []))
 
 
 def test_canonical_embedding_values():
@@ -316,6 +318,39 @@ def test_contractible_embedding_values():
     for P in enumerate_posets(5, up_to_iso=True):
         E = contractible_embedding(cone(P))
         assert E.width == len(P) and verify_embedding(E)
+
+
+def test_contractible_embedding_takes_trace_and_cap(monkeypatch):
+    deflations = []
+
+    class Counted(homotopy._Deflation):
+        def __init__(self, P):
+            deflations.append(P)
+            super().__init__(P)
+
+    monkeypatch.setattr(homotopy, "_Deflation", Counted)
+    for P in (chain(4), fence(), cone(suspension(antichain(2))), suspension(antichain(2), 1)):
+        trace = core(P)
+        deflations.clear()
+        assert contractible_embedding(P, trace=trace) == contractible_embedding(P)
+        assert len(deflations) == 1  # only the call without a trace deflates
+    # suspension(antichain(2), 2) is its own 6-point core, embedded exactly
+    S = suspension(antichain(2), 2)
+    with pytest.raises(TooLarge):
+        contractible_embedding(S, max_size=5)
+    assert contractible_embedding(S, max_size=6).width == 6
+
+
+def test_contractible_embedding_raises_on_invalid_replay(monkeypatch):
+    add = dimension._add_beat_point
+
+    def twin(P, alive, w, masks, width):
+        add(P, alive, w, masks, width)
+        masks[w.point] = masks[w.witness]
+
+    monkeypatch.setattr(dimension, "_add_beat_point", twin)
+    with pytest.raises(InvalidEmbedding):
+        contractible_embedding(chain(3))
 
 
 def test_contractible_embedding_census():

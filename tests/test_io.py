@@ -135,6 +135,10 @@ def test_parse_embedding_rejects_garbage():
     good = format_embedding(two_dimension(P).witness)
     with pytest.raises(FormatError):
         parse_embedding(good.replace("width 3", "width x"), P)
+    with pytest.raises(FormatError, match="width must be >= 0"):
+        parse_embedding(good.replace("width 3", "width -1"), P)
+    with pytest.raises(FormatError, match="unparseable line"):
+        parse_embedding(good.replace("a ", "a 000 "), P)  # three tokens
     with pytest.raises(FormatError):
         parse_embedding(good + "a 000\n", P)  # duplicate assignment
     with pytest.raises(FormatError):
