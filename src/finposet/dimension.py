@@ -8,20 +8,22 @@ bit i, and bitstrings print coordinate 0 first.
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by size and up-set count: an exact colouring of
 the critical-pair graph, whose chromatic number is the 2-dimension, the
-faster one on posets with few up-sets, and an exhaustive width search
-that returns the lexicographically least embedding (keeping each point's
-candidate masks as one bitset over the cube, narrowed as earlier points
-are placed so that a branch ends as soon as a later point has no
-candidate left, and pruned by up-set capacity and by the coordinate and
-twin symmetries that keep that embedding), the faster one on the rest.
-two_dimension builds one plan of P per call and hands it to its width
-loop and to the chosen backend, which is set up once and then answers
-one width per call; the loop asks widths upwards and verifies the first
-answer.  The search's cube tables depend on the width alone and are kept
-for the process, within one byte budget.  The canonical
-characteristic-function embedding has width |P|, and a deflation replay
-turns a core computation into an embedding one new coordinate per
-removed point.
+faster one on posets of 8 points or more with few up-sets, and an
+exhaustive width search that returns the least embedding along the
+search order (keeping each point's candidate masks as one bitset over
+the cube, narrowed as earlier points are placed so that a branch ends as
+soon as a later point has no candidate left, and pruned by up-set
+capacity and by the coordinate and twin symmetries that keep that
+embedding), the faster one on the rest.  The search order is fail-first:
+the points by decreasing strict up-set size, the lowest index first on
+ties, which is a linear extension.  two_dimension builds one plan of P
+per call and hands it to its width loop and to the chosen backend, which
+is set up once and then answers one width per call; the loop asks widths
+upwards and verifies the first answer.  The search's cube tables depend
+on the width alone and are kept for the process, within one byte budget.
+The canonical characteristic-function embedding has width |P|, and a
+deflation replay turns a core computation into an embedding one new
+coordinate per removed point.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .core import (
-    Poset, StructureStats, _bits, _down_sets, _linear_extension, _naturally_labeled, _ranked, remove_element,
-    structure_stats,
-)
+from .core import Poset, StructureStats, _bits, _down_sets, remove_element, structure_stats
 from .errors import (
     EmptyPoset,
     InvalidEmbedding,
@@ -57,12 +56,11 @@ CUBE_BITS = 1 << 26
 SIZE_GUARD = 12
 # two_dimension colours the critical-pair graph of a poset of at least
 # COLOUR_MIN_SIZE points and at most COLOUR_LIMIT up-sets, and gives any
-# other to the width search.  Each backend forced, the search is the
-# faster on the classes of 6 and 7 points and the colouring on those of
-# 8; routing the pool at any limit from 150 to 300 costs the same within
-# 1.5%, least at 250.  README, Guards, has the figures; both values stay
-# until a benchmark run shows that moving one pays.
-COLOUR_MIN_SIZE = 6
+# other to the width search.  Each backend forced, plan included, the
+# search is the faster on the classes of 6 and 7 points and the colouring
+# on those of 8; routing the pool at any limit from 40 to 250 costs the
+# same within 6%, and more past 250.  README, Guards, has the figures.
+COLOUR_MIN_SIZE = 8
 COLOUR_LIMIT = 250
 
 
@@ -164,35 +162,53 @@ def verify_embedding(E: CubeEmbedding) -> bool:
 
 
 class _Plan:
-    """What the exact backends need of P, ranked along its least linear extension.
+    """What the exact backends need of P, ranked along the search order.
 
     two_dimension builds one per call, for its width loop and its backend.
     Both backends read start and the strict rows below and above, over
     positions along order, and return one mask per position to embedding().
-    The order is structure_stats(P).linear_extension as indices
-    (``core._linear_extension``, relabeled by ``core._ranked``); when P is
-    naturally labeled that is the index order, and the strict rows are
-    P's rows without their own bits.
+    The order is fail-first (most constrained point first; Haralick &
+    Elliott, AI 1980): among the points whose strict down-set is placed,
+    each step takes the one with the largest strict up-set, the lowest
+    index on ties.  x < y makes x's strict up-set strictly larger than
+    y's, so every point with a larger strict up-set, or an equal one and
+    a lower index, is ready before it, and the order is P's points sorted
+    by (-|strict up-set|, index): one pass counts the up-sets, a stable
+    sort orders them and one more pass ranks the rows.  The order depends
+    on the declared order only through ties.
     """
 
     def __init__(self, P: Poset):
         rows = P.down_rows
         n = len(rows)
-        if _naturally_labeled(rows):
-            order: Sequence[int] = range(n)
-            below = [row ^ 1 << t for t, row in enumerate(rows)]
-        else:
-            order = _linear_extension(rows)[1]
-            below = _ranked(rows, order)[1]
-        # strict rows over positions, and the longest chain above each
-        above = [0] * n
+        strict = [row ^ 1 << i for i, row in enumerate(rows)]
+        size_above = [0] * n
+        for row in strict:
+            while row:
+                low = row & -row
+                size_above[low.bit_length() - 1] += 1
+                row ^= low
+        # a point's strict up-set holds the strict up-sets of the points
+        # above it, so this stable sort is a linear extension
+        order = sorted(range(n), key=size_above.__getitem__, reverse=True)
+        rank = [0] * n
+        for t, i in enumerate(order):
+            rank[i] = t
+        # strict rows over positions, and the longest chain above each, top down
+        below, above = [0] * n, [0] * n
         chain_above = [0] * n
         for t in reversed(range(n)):
             bit, longer = 1 << t, chain_above[t] + 1
-            for s in _bits(below[t]):
+            row, ranked = strict[order[t]], 0
+            while row:
+                low = row & -row
+                row ^= low
+                s = rank[low.bit_length() - 1]
+                ranked |= 1 << s
                 above[s] |= bit
                 if chain_above[s] < longer:
                     chain_above[s] = longer
+            below[t] = ranked
         self.P, self.below, self.above = P, below, above
         self.order = tuple(order)  # element index at each position
         # free coordinates the strict up-set of each position needs
@@ -301,10 +317,11 @@ _cube_tables = _CubeTables()
 def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     """The width search backend: set up once, then answer one width per call.
 
-    The returned function maps a width w to the lexicographically least
-    embedding of P into the w-cube, comparing masks position by position
-    along the plan's order (structure_stats(P).linear_extension), or to
-    None when there is none; above WIDTH_GUARD it raises TooWide.  The
+    The returned function maps a width w to the least embedding of P into
+    the w-cube along the search order, comparing masks position by
+    position along the plan's order (the points by decreasing strict
+    up-set size, the lowest index first on ties; _Plan), or to None when
+    there is none; above WIDTH_GUARD it raises TooWide.  The
     set-up notes, for each position, which later positions lie above it
     (every other later one is incomparable to it, since the order is a
     linear extension) and the previous position (or -1) of its twin
@@ -423,11 +440,12 @@ def _search_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
 
 
 def exists_embedding(P: Poset, width: int) -> CubeEmbedding | None:
-    """The lexicographically least order embedding of P into the width-cube, or None.
+    """The least order embedding of P into the width-cube along the search order, or None.
 
-    Masks are compared element by element along
-    structure_stats(P).linear_extension; the width search
-    (_search_embedding) finds the embedding.
+    Masks are compared element by element along the search order: the
+    points by decreasing strict up-set size, the lowest index first on
+    ties (_Plan).  The width search (_search_embedding) finds the
+    embedding.
     """
     if width < 0:
         raise OutOfRange("width must be >= 0")
@@ -579,8 +597,8 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     most: the canonical embedding has width |P|, and the critical pairs
     grouped by their y colour the graph with at most |P| colours, since no
     x_a <= y holds inside a group.  The first width answered, with its
-    witness verified, is the value; the witness is the lexicographically
-    least embedding only when the width search gave it.
+    witness verified, is the value; the witness is the least embedding
+    along the search order only when the width search gave it.
     Sizes above max_size are refused (both backends are exponential); raise
     the cap explicitly to push further.
     """

@@ -24,7 +24,6 @@ from finposet import (
     TooWide,
     UnknownElement,
     build_poset,
-    structure_stats,
     two_dimension,
 )
 from finposet.census import CHECKS, CensusReport, CheckResult, enumerate_posets
@@ -194,10 +193,27 @@ def exists_embedding_naive(P: Poset, width: int) -> CubeEmbedding | None:
     return None
 
 
-def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
-    """The lexicographically least embedding of P at width, found by trying every mask in turn.
+def fail_first_extension(P: Poset) -> list[str]:
+    """The width search's order, by rescanning the unplaced points after every pick.
 
-    Walks structure_stats(P).linear_extension and gives each element the
+    Each step takes, among the points not yet placed whose strict
+    down-set is placed, one with the largest strict up-set, the first
+    declared on ties.
+    """
+    placed: set[str] = set()
+    order: list[str] = []
+    while len(order) < len(P):
+        ready = [x for x in P.elements if x not in placed and P.down_set(x) - {x} <= placed]
+        x = max(ready, key=lambda y: len(P.up_set(y)))  # max keeps the first of equals
+        order.append(x)
+        placed.add(x)
+    return order
+
+
+def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
+    """The least embedding of P at width along the search order, found by trying every mask in turn.
+
+    Walks fail_first_extension(P) and gives each element the
     first of the masks 0 .. 2^width - 1 that keeps the masks so far an
     order embedding and obeys two rules that the least embedding obeys:
     the mask has at most width - need bits, need being the larger of the
@@ -209,7 +225,7 @@ def search_masks_lexicographic(P: Poset, width: int) -> dict[str, int] | None:
     full assignment is the least, comparing masks along the extension.
     Returns the masks by element, or None.
     """
-    order = structure_stats(P).linear_extension
+    order = fail_first_extension(P)
     n = len(order)
     strictly_below = {x: P.down_set(x) - {x} for x in order}
     strictly_above = {x: P.up_set(x) - {x} for x in order}

@@ -29,7 +29,6 @@ from finposet import (
     is_contractible,
     lower_bound,
     random_poset,
-    structure_stats,
     suspension,
     two_dimension,
     upper_bound,
@@ -41,7 +40,6 @@ from finposet.core import (
     _bits,
     _down_sets,
     _lower_covers,
-    _naturally_labeled,
     disjoint_union,
     induced_subposet,
     opposite,
@@ -52,10 +50,10 @@ from oracles import (
     covers_brute,
     declared_shuffled,
     exists_embedding_naive,
+    fail_first_extension,
     fence,
     ranked_rows_brute,
     search_masks_lexicographic,
-    structure_stats_rescan,
     two_dimension_cover,
 )
 
@@ -190,16 +188,18 @@ def test_search_masks_match_lexicographic_oracle_on_search_routed_posets():
 
 
 def test_search_finds_least_embedding_that_twin_keys_skipped():
-    # two 7-point classes whose least width-5 embedding an earlier twin rule,
-    # key(m) = (popcount(m >> u), m & (2^u - 1)), cut off
+    # two 7-point classes whose least width-5 embedding along the least
+    # linear extension by index an earlier twin rule,
+    # key(m) = (popcount(m >> u), m & (2^u - 1)), cut off; the masks are
+    # the oracle's, along the search order
     for rows, least in (
-        ((1, 2, 6, 10, 18, 34, 66), [3, 4, 13, 14, 21, 22, 28]),
-        ((1, 2, 6, 10, 18, 34, 67), [3, 4, 13, 14, 21, 22, 7]),
+        ((1, 2, 6, 10, 18, 34, 66), [1, 6, 11, 13, 19, 21, 25]),
+        ((1, 2, 6, 10, 18, 34, 67), [1, 6, 11, 13, 19, 21, 7]),
     ):
         P = Poset([str(i) for i in range(7)], rows)
         E = exists_embedding(P, 5)
         assert E is not None and E.masks == search_masks_lexicographic(P, 5)
-        assert [E.masks[x] for x in structure_stats(P).linear_extension] == least
+        assert [E.masks[x] for x in fail_first_extension(P)] == least
 
 
 def test_search_masks_match_lexicographic_oracle_at_the_value():
@@ -461,7 +461,7 @@ def backends_agree(P):
 # SHA-256 of the search's width and masks, in element order, on the 2,450
 # classes of 1-7 points.  A pruning rule may only cut branches that hold no
 # least embedding, so it must leave this digest as it is.
-SEARCH_WITNESS_DIGEST = "dc6f1ff44560d329702edcfc66e3a677aadb78e07aec534975ccc39584183b13"
+SEARCH_WITNESS_DIGEST = "1946cd9b8d217a1a1ff475667bea291a4b4743c42be6732a9a8996440fb4a480"
 
 
 def test_backends_agree_over_unlabeled_census():
@@ -495,9 +495,10 @@ def two_dimension_witnesses(posets):
 
 
 # SHA-256 of two_dimension's width and masks, in element order, on
-# two_dimension_digest_posets: 2,810 posets, both backends, both branches of
-# the plan.  A change to the solver's set-up must leave it as it is.
-TWO_DIMENSION_DIGEST = "d8a48107d1842c76e769671d8bc49448aceec0da6872c5f8561434a8aa577aa8"
+# two_dimension_digest_posets: 2,810 posets, both backends, declared in
+# and out of the plan's order.  A change to the solver's set-up must leave
+# it as it is.
+TWO_DIMENSION_DIGEST = "5ebf2e3865c2c5f1d7e0a1923ebcc1938b89e7c317c0de4472bd04e0ebda618a"
 
 
 def test_two_dimension_witnesses_match_digest():
@@ -531,6 +532,17 @@ def test_backends_agree_on_random_posets_with_twins():
 def test_backends_agree_past_twelve_points():
     # 14 points and 586 up-sets: past SIZE_GUARD, and two_dimension with max_size=14 sends it to the search
     assert backends_agree(random_poset(14, 0.3, 0)).width == 7
+    for seed, value in enumerate((7, 7, 8, 7)):
+        assert backends_agree(random_poset(16, 0.2, seed)).width == value
+
+
+def test_search_answers_past_twelve_points_however_declared():
+    # the search order depends on the declared order only through ties
+    assert two_dimension(suspension(random_poset(16, 0.2, 1)), max_size=18).value == 9
+    P = disjoint_union(suspension(antichain(4)), antichain(5))  # 608 up-sets, past COLOUR_LIMIT
+    for seed in (1, 2, 3):
+        cert = two_dimension(declared_shuffled(P, seed), max_size=len(P))
+        assert cert.value == 6 and verify_embedding(cert.witness)
 
 
 def test_colouring_answers_past_both_guards():
@@ -559,10 +571,12 @@ def test_backend_choice_by_up_set_count(monkeypatch):
 
     monkeypatch.setattr(dimension, "_colour_embedding", counted("_colour_embedding"))
     monkeypatch.setattr(dimension, "_search_embedding", counted("_search_embedding"))
-    # antichains on 5, 7, 8 and 9 points have 32, 128, 256 and 512 up-sets
+    # antichains on 5, 7, 8 and 9 points have 32, 128, 256 and 512 up-sets,
+    # and the cone over antichain(7) has 8 points and 129
     for P, backend in (
         (antichain(5), "_search_embedding"),
-        (antichain(7), "_colour_embedding"),
+        (antichain(7), "_search_embedding"),
+        (cone(antichain(7)), "_colour_embedding"),
         (antichain(8), "_search_embedding"),
         (antichain(9), "_search_embedding"),
     ):
@@ -571,7 +585,7 @@ def test_backend_choice_by_up_set_count(monkeypatch):
         assert set(calls) == {backend}
         assert cert.value == (4 if len(P) == 5 else 5)
         assert cert.exhausted_below and verify_embedding(cert.witness)
-    assert 5 < dimension.COLOUR_MIN_SIZE <= 7 and 128 <= dimension.COLOUR_LIMIT < 256
+    assert 7 < dimension.COLOUR_MIN_SIZE <= 8 and 129 <= dimension.COLOUR_LIMIT < 256
 
 
 # seeded random posets with 268-318 up-sets, past COLOUR_LIMIT
@@ -617,9 +631,10 @@ def test_colouring_answers_every_width_downwards():
 
 
 def test_colouring_raises_on_invalid_witness(monkeypatch):
+    monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
     monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
     with pytest.raises(InvalidEmbedding):
-        two_dimension(antichain(6))
+        two_dimension(cone(antichain(7)))
 
 
 def test_search_answers_are_verified(monkeypatch):
@@ -635,7 +650,7 @@ def test_search_answers_are_verified(monkeypatch):
 def test_colouring_leaves_up_rows_unbuilt(monkeypatch):
     # the colouring reads the plan's ranked rows, never the poset's transpose
     monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
-    fresh = [antichain(6), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in COLOUR_BAND]
+    fresh = [cone(antichain(7)), suspension(antichain(6))] + [random_poset(n, p, s) for n, p, s, _ in COLOUR_BAND]
     for P in fresh:
         assert P._up is None
         assert verify_embedding(two_dimension(P).witness)
@@ -674,32 +689,29 @@ def test_plan_covers_match_brute_force_oracle():
 
 
 def test_plan_matches_rescan_and_pairwise_oracles():
-    # both branches of the plan: the index order of naturally labeled rows
-    # (every class) and the heap pass (shuffled classes, random posets)
+    # the sort against the rescan on every class, shuffled classes and random posets
     shuffled = [declared_shuffled(P, n) for n in range(1, 7) for P in enumerate_posets(n, up_to_iso=True)]
     randoms = [random_poset(4 + seed % 9, (0.2, 0.4, 0.6)[seed % 3], seed) for seed in range(30)]
     classes = [P for n in range(1, 8) for P in enumerate_posets(n, up_to_iso=True)]
-    assert all(_naturally_labeled(P.down_rows) for P in classes)
-    assert sum(not _naturally_labeled(P.down_rows) for P in shuffled + randoms) > 300
     for P in classes + shuffled + randoms:
         plan = dimension._Plan(P)
-        order = [P.index(x) for x in structure_stats_rescan(P).linear_extension]
+        order = [P.index(x) for x in fail_first_extension(P)]
         assert list(plan.order) == order
         assert (plan.below, plan.above) == ranked_rows_brute(P.down_rows, order)[1:]
         assert plan.start == lower_bound(P)
 
 
 def test_linear_extension_once_per_two_dimension(monkeypatch):
-    # one plan per poset, which runs the heap pass only when the rows are not
-    # naturally labeled, and one width loop: each width from the plan's start
-    # up to the answer is asked once, in order, of the chosen backend
-    extensions = []
+    # one plan per poset, whose order is the one linear extension of the
+    # call, and one width loop: each width from the plan's start up to the
+    # answer is asked once, in order, of the chosen backend
+    plans = []
     asked = []
-    linear_extension = dimension._linear_extension
 
-    def counted_extension(rows):
-        extensions.append(rows)
-        return linear_extension(rows)
+    class CountedPlan(dimension._Plan):
+        def __init__(self, P):
+            super().__init__(P)
+            plans.append(self)
 
     def counted(backend, factory):
         def set_up(*args):
@@ -713,24 +725,24 @@ def test_linear_extension_once_per_two_dimension(monkeypatch):
 
         return set_up
 
-    monkeypatch.setattr(dimension, "_linear_extension", counted_extension)
+    monkeypatch.setattr(dimension, "_Plan", CountedPlan)
     monkeypatch.setattr(dimension, "_search_embedding", counted("search", dimension._search_embedding))
     monkeypatch.setattr(dimension, "_colour_embedding", counted("colour", dimension._colour_embedding))
     # 608 up-sets: the width search, at widths 4, 5 and 6
     searched = disjoint_union(suspension(antichain(4)), antichain(5))
     # 67 up-sets: the colouring, which reads the same plan
     coloured = suspension(antichain(6))
-    # a shuffled declaration is not naturally labeled, so its plan runs the heap pass once
-    for P, backend, heap_passes in (
-        (searched, "search", 0),
-        (coloured, "colour", 0),
-        (declared_shuffled(searched, 3), "search", 1),
-        (declared_shuffled(coloured, 3), "colour", 1),
+    # a shuffled declaration plans the same way
+    for P, backend in (
+        (searched, "search"),
+        (coloured, "colour"),
+        (declared_shuffled(searched, 3), "search"),
+        (declared_shuffled(coloured, 3), "colour"),
     ):
-        extensions.clear()
+        plans.clear()
         asked.clear()
         assert two_dimension(P, max_size=len(P)).value == 6
-        assert len(extensions) == heap_passes
-        start = dimension._Plan(P).start
+        assert len(plans) == 1 and plans[0].P == P
+        start = plans[0].start
         assert start < 6
         assert asked == [(backend, width) for width in range(start, 7)]
