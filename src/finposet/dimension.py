@@ -8,18 +8,20 @@ bit i, and bitstrings print coordinate 0 first.
 Four routes produce certified embeddings.  Two are exact and sit behind
 two_dimension, chosen by size and up-set count: an exact colouring of
 the critical-pair graph, whose chromatic number is the 2-dimension, the
-faster one on posets of 8 points or more with few up-sets, and an
-exhaustive width search that returns the least embedding along the
-search order (keeping each point's candidate masks as one bitset over
-the cube, narrowed as earlier points are placed so that a branch ends as
-soon as a later point has no candidate left, and pruned by up-set
-capacity and by the coordinate and twin symmetries that keep that
-embedding), the faster one on the rest.  The search order is fail-first:
-the points by decreasing strict up-set size, the lowest index first on
-ties, which is a linear extension.  two_dimension builds one plan of P
-per call and hands it to its width loop and to the chosen backend, which
-is set up once and then answers one width per call; the loop asks widths
-upwards and verifies the first answer.  The search's cube tables depend
+faster one on posets of 8 points or more with few up-sets (it brackets
+that number between a greedy clique and a greedy colouring, and branches
+only on the widths in between), and an exhaustive width search that
+returns the least embedding along the search order (keeping each point's
+candidate masks as one bitset over the cube, narrowed as earlier points
+are placed so that a branch ends as soon as a later point has no
+candidate left, and pruned by up-set capacity and by the coordinate and
+twin symmetries that keep that embedding), the faster one on the rest.
+The search order is fail-first: the points by decreasing strict up-set
+size, the lowest index first on ties, which is a linear extension.
+two_dimension builds one plan of P per call and hands it to its width
+loop and to the chosen backend, which is set up once and then answers one
+width per call; the loop asks widths upwards and verifies the first
+answer.  The search's cube tables depend
 on the width alone and are kept for the process, within one byte budget.
 The canonical characteristic-function embedding has width |P|, and a
 deflation replay turns a core computation into an embedding one new
@@ -474,32 +476,32 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     """The critical-pair colouring backend: set up once, then answer one width per call.
 
     The returned function maps a width w to an embedding of P into the
-    w-cube, or to None when there is none; it keeps nothing from one
-    width to the next, so widths may be asked in any order.  Points are
-    the plan's positions.  Coordinate k of an embedding is the up-set U_k
-    of points whose mask has bit k, so P embeds at width w iff w up-sets
-    separate (hold x, miss y) every pair x not<= y (Trotter's coordinate
-    view; Habib, Nourine, Raynaud & Thierry 2004).  Only critical pairs
-    need it, found by three subset tests on the plan's rows (down and up
-    add the point to below and above): x not in down(y), below(x) inside
-    down(y) and above(y) inside up(x).  Any other pair x not<= y has a z < x
-    with z not<= y, or a v > y with x not<= v, and an up-set separating
-    that pair separates (x, y); each step shrinks |down(x)| + |up(y)|, so
-    the steps end at a critical pair.  Critical pairs share a separating
-    up-set, the up-closure of their x's, iff no x_a <= y_b among them.
-    So P embeds at width w iff the graph G of critical pairs, joined when
-    x_a <= y_b or x_b <= y_a, has a w-colouring; colour c becomes
-    coordinate c.
+    w-cube, or to None when there is none; widths may be asked in any
+    order.  Points are the plan's positions.  Coordinate k of an embedding
+    is the up-set U_k of points whose mask has bit k, so P embeds at width
+    w iff w up-sets separate (hold x, miss y) every pair x not<= y
+    (Trotter's coordinate view; Habib, Nourine, Raynaud & Thierry 2004).
+    Only critical pairs need it, found by three subset tests on the plan's
+    rows (down and up add the point to below and above): x not in down(y),
+    below(x) inside down(y) and above(y) inside up(x).  Any other pair
+    x not<= y has a z < x with z not<= y, or a v > y with x not<= v, and an
+    up-set separating that pair separates (x, y); each step shrinks
+    |down(x)| + |up(y)|, so the steps end at a critical pair.  Critical
+    pairs share a separating up-set, the up-closure of their x's, iff no
+    x_a <= y_b among them.  So P embeds at width w iff the graph G of
+    critical pairs, joined when x_a <= y_b or x_b <= y_a, has a
+    w-colouring; colour c becomes coordinate c.
 
-    The set-up numbers the critical pairs, builds G as bitmasks and fixes
-    a greedy clique, highest degree first, to colours 0..q-1, which
-    refutes every width below q at once.  Each width then runs an exact
-    DSATUR (Brelaz 1979; San Segundo, Computers & OR 2012) on the other
-    pairs: the pair with the most colours among its neighbours (then the
-    highest degree) is tried with each colour in use that they leave it,
-    then with one new colour, the next index, and a branch ends as soon
-    as some pair has all w colours among its neighbours.  The embedding
-    need not be the least one that the width search gives.
+    The set-up numbers the critical pairs, builds G as bitmasks and
+    brackets its chromatic number: a greedy clique, highest degree first,
+    takes colours 0..q-1, and a greedy colouring (largest degree first;
+    Welsh & Powell 1967) puts every other pair, in the same order, into
+    the first colour class that holds none of its neighbours, which uses
+    U colours.  So each width below q is refuted at once, and each width
+    from U up gets the greedy colouring as its witness, built by walking
+    each coordinate's up-set.  Only the widths in between run an exact
+    DSATUR (_exact_colouring), set up on the first of them.  The
+    embedding need not be the least one that the width search gives.
     """
     below, above = plan.below, plan.above
     n = len(below)
@@ -514,29 +516,106 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     ]
     m = len(pairs)
     # the pairs whose x lies at or below each point and those whose y lies
-    # at or above it: each point's own, then passed along each s < t
+    # at or above it: each point's own, then passed up and down the covers.
+    # The highest position left in a strict down row is a lower cover, and
+    # dropping its down-set leaves the others (dually for the up rows).
     x_at_or_below, y_at_or_above = [0] * n, [0] * n
     for p, (x, y) in enumerate(pairs):
         x_at_or_below[x] |= 1 << p
         y_at_or_above[y] |= 1 << p
     for t in range(n):
-        for s in _bits(below[t]):
-            x_at_or_below[t] |= x_at_or_below[s]
-            y_at_or_above[s] |= y_at_or_above[t]
+        row, found = below[t], x_at_or_below[t]
+        while row:
+            s = row.bit_length() - 1
+            found |= x_at_or_below[s]
+            row &= ~down[s]
+        x_at_or_below[t] = found
+    for t in reversed(range(n)):
+        row, found = above[t], y_at_or_above[t]
+        while row:
+            s = (row & -row).bit_length() - 1
+            found |= y_at_or_above[s]
+            row &= ~up[s]
+        y_at_or_above[t] = found
     # pair p meets the pairs whose x lies at or below p's y, and those whose y lies at or above p's x
     meets = [x_at_or_below[y] | y_at_or_above[x] for x, y in pairs]
     degree = [a.bit_count() for a in meets]
+    by_degree = sorted(range(m), key=degree.__getitem__, reverse=True)
     clique: list[int] = []
     common = (1 << m) - 1
-    for p in sorted(range(m), key=degree.__getitem__, reverse=True):
+    for p in by_degree:
         if common >> p & 1:
             clique.append(p)
             common &= meets[p]
-    adjacent = [[q for q in range(m) if a >> q & 1] for a in meets]
-    # with the clique coloured: each pair's colour, the colours among its
+    # the greedy colouring: each pair's colour, and each colour class as a bitmask of pairs
+    greedy = [0] * m
+    classes = []
+    for c, p in enumerate(clique):
+        greedy[p] = c
+        classes.append(1 << p)
+    coloured = sum(classes)
+    for p in by_degree:
+        if not coloured >> p & 1:
+            for c, members in enumerate(classes):
+                if not members & meets[p]:
+                    classes[c] = members | 1 << p
+                    break
+            else:
+                c = len(classes)
+                classes.append(1 << p)
+            greedy[p] = c
+    exact: Callable[[int], list[int] | None] | None = None
+
+    def witness(width: int, colour: list[int]) -> CubeEmbedding:
+        """The embedding at width whose coordinate c is the up-closure of the x's of colour c."""
+        upsets = [0] * width
+        for (x, _), c in zip(pairs, colour):
+            upsets[c] |= up[x]
+        masks = [0] * n
+        for c, row in enumerate(upsets):
+            bit = 1 << c
+            while row:
+                low = row & -row
+                masks[low.bit_length() - 1] |= bit
+                row ^= low
+        return plan.embedding(width, masks)
+
+    def embed_at(width: int) -> CubeEmbedding | None:
+        nonlocal exact
+        if width < len(clique):
+            return None
+        if width >= len(classes):
+            return witness(width, greedy)
+        if exact is None:
+            exact = _exact_colouring(meets, degree, clique)
+        colour = exact(width)
+        return None if colour is None else witness(width, colour)
+
+    return embed_at
+
+
+def _exact_colouring(
+    meets: Sequence[int], degree: Sequence[int], clique: Sequence[int]
+) -> Callable[[int], list[int] | None]:
+    """An exact DSATUR colouring of the graph meets, set up once, then one width per call.
+
+    meets[p] is the bitmask of p's neighbours and degree[p] its size; the
+    clique keeps colours 0..q-1.  The returned function maps a width w >= q
+    to a colour in range(w) per vertex, neighbours apart, or to None when
+    there is none.  Each width colours the other vertices by DSATUR
+    (Brelaz 1979; San Segundo, Computers & OR 2012): the vertex with the
+    most colours among its neighbours (then the highest degree) is tried
+    with each colour in use that they leave it, then with one new colour,
+    the next index, and a branch ends as soon as some vertex has all w
+    colours among its neighbours.  The set-up lists each vertex's
+    neighbours and seeds the clique's colours; each width copies the seeds.
+    """
+    m = len(meets)
+    adjacent = [list(_bits(a)) for a in meets]
+    # with the clique coloured: each vertex's colour, the colours among its
     # neighbours, and its rank (that colour count, then its degree)
     step = m + 1
-    seeded_colour, seeded_blocked, seeded_rank = [0] * m, [0] * m, degree[:]
+    seeded_colour, seeded_blocked, seeded_rank = [0] * m, [0] * m, list(degree)
     for c, p in enumerate(clique):
         seeded_colour[p] = c
         for r in adjacent[p]:
@@ -544,14 +623,12 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
             seeded_rank[r] += step
     rest = sorted(set(range(m)).difference(clique))
 
-    def embed_at(width: int) -> CubeEmbedding | None:
-        if width < len(clique):
-            return None
+    def colour_at(width: int) -> list[int] | None:
         every = (1 << width) - 1
         colour, blocked, rank = seeded_colour[:], seeded_blocked[:], seeded_rank[:]
 
         def extend(left: list[int], used: int) -> bool:
-            """Colour the pairs in left, with colours 0..used-1 taken so far."""
+            """Colour the vertices in left, with colours 0..used-1 taken so far."""
             if not left:
                 return True
             p = max(left, key=rank.__getitem__)
@@ -572,15 +649,9 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
                     rank[r] -= step
             return False
 
-        if not extend(rest, len(clique)):
-            return None
-        # coordinate c: the up-closure of the x's of colour c
-        upsets = [0] * width
-        for (x, _), c in zip(pairs, colour):
-            upsets[c] |= up[x]
-        return plan.embedding(width, [sum(1 << c for c, U in enumerate(upsets) if U >> t & 1) for t in range(n)])
+        return colour if extend(rest, len(clique)) else None
 
-    return embed_at
+    return colour_at
 
 
 def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
@@ -596,8 +667,11 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     width by width from the plan's start, lower_bound(P), up to |P| at
     most: the canonical embedding has width |P|, and the critical pairs
     grouped by their y colour the graph with at most |P| colours, since no
-    x_a <= y holds inside a group.  The first width answered, with its
-    witness verified, is the value; the witness is the least embedding
+    x_a <= y holds inside a group.  The colouring refutes the widths below
+    its greedy clique and answers those from its greedy colouring's size
+    up at once, so when these bounds meet (or the plan's start reaches the
+    colouring's size) no width branches.  The first width answered, with
+    its witness verified, is the value; the witness is the least embedding
     along the search order only when the width search gave it.
     Sizes above max_size are refused (both backends are exponential); raise
     the cap explicitly to push further.

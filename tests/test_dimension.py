@@ -29,6 +29,7 @@ from finposet import (
     is_contractible,
     lower_bound,
     random_poset,
+    realize,
     suspension,
     two_dimension,
     upper_bound,
@@ -498,7 +499,7 @@ def two_dimension_witnesses(posets):
 # two_dimension_digest_posets: 2,810 posets, both backends, declared in
 # and out of the plan's order.  A change to the solver's set-up must leave
 # it as it is.
-TWO_DIMENSION_DIGEST = "5ebf2e3865c2c5f1d7e0a1923ebcc1938b89e7c317c0de4472bd04e0ebda618a"
+TWO_DIMENSION_DIGEST = "d97f6dacfef75d693e9e805548a85e0a818c33972a68d8c530e21c0951c546f3"
 
 
 def test_two_dimension_witnesses_match_digest():
@@ -609,25 +610,110 @@ def test_moved_band_routes_to_search(monkeypatch):
 
 
 def colouring_answers_every_width(P):
-    """Ask one colouring for every width from |P| down to 0: it refutes exactly the widths the search refutes."""
+    """Ask one colouring for every width from |P| down to 0, then again upwards:
+    it refutes exactly the widths the search refutes, and gives the same masks twice."""
     plan = dimension._Plan(P)
     embed_at = dimension._colour_embedding(plan)
+    found = {}
     for w in range(len(P), -1, -1):
-        E = embed_at(w)
+        E = found[w] = embed_at(w)
         assert (E is None) == (exists_embedding(P, w) is None), w
         assert E is None or (E.width == w and verify_embedding(E))
+    for w in range(len(P) + 1):
+        assert embed_at(w) == found[w], w
 
 
-def test_colouring_answers_every_width_downwards():
+def spy_exact_colouring(monkeypatch):
+    """Record each set-up of the exact colouring, and each width it is asked with whether it answered."""
+    set_ups, asked = [], []
+    original = dimension._exact_colouring
+
+    def set_up(*args):
+        set_ups.append(args)
+        colour_at = original(*args)
+
+        def at(width):
+            colour = colour_at(width)
+            asked.append((width, colour is not None))
+            return colour
+
+        return at
+
+    monkeypatch.setattr(dimension, "_exact_colouring", set_up)
+    return set_ups, asked
+
+
+# colour-routed posets with a gap, as (poset, greedy clique q, value d,
+# greedy colours U): q < d, d < U, or both
+GAPS = (
+    (suspension(antichain(6)), 4, 6, 8),
+    (cone(antichain(7)), 2, 5, 7),
+    (random_poset(9, 0.2, 2), 4, 6, 6),
+    (random_poset(12, 0.4, 0), 6, 7, 7),
+    (random_poset(9, 0.2, 3), 4, 5, 7),
+    (random_poset(10, 0.2, 3), 3, 6, 8),
+    (random_poset(11, 0.3, 3), 6, 6, 8),
+    *((random_poset(n, p, seed), q, 6, u) for (n, p, seed, _), q, u in zip(COLOUR_BAND, (4, 4, 6), (7, 7, 7))),
+)
+# seeded random posets, colour-routed, whose greedy clique and colouring meet (q = U)
+CLOSED = tuple(
+    random_poset(n, p, seed)
+    for n, p, seed in ((9, 0.2, 1), (9, 0.4, 2), (10, 0.4, 0), (11, 0.3, 1), (12, 0.3, 1), (12, 0.4, 3))
+)
+
+
+def test_colouring_answers_every_width_downwards(monkeypatch):
     # the width loop asks widths upwards and stops at the value; the
-    # colouring keeps no state between widths, so any order gives the same answers
+    # colouring may be asked them in any order and gives the same answers
     for n in range(1, 7):
         for P in enumerate_posets(n, up_to_iso=True):
             colouring_answers_every_width(P)
     for n, p, seed, up_sets in COLOUR_BAND:
         P = random_poset(n, p, seed)
         assert len(_down_sets(P.down_rows, dimension._Plan(P).order)) == up_sets
+    set_ups, asked = spy_exact_colouring(monkeypatch)
+    for P, q, d, u in GAPS:
+        set_ups.clear()
+        asked.clear()
         colouring_answers_every_width(P)
+        # set up once; asked exactly the widths in the gap, twice each, and answers from d
+        assert len(set_ups) == 1
+        assert sorted(asked) == sorted(2 * [(w, w >= d) for w in range(q, u)])
+    set_ups.clear()
+    for P in CLOSED + (chain(8), realize(10, 6)):
+        colouring_answers_every_width(P)
+    assert not set_ups
+
+
+def test_closed_bracket_never_enters_the_exact_colouring(monkeypatch):
+    set_ups, asked = spy_exact_colouring(monkeypatch)
+    monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
+    for P in CLOSED:
+        assert verify_embedding(two_dimension(P).witness)
+    assert not set_ups and not asked
+    # a poset with a gap enters it once, from width max(q, start) up to the
+    # value, or up to U - 1 when the greedy colouring answers the value
+    for P, q, d, u in GAPS:
+        set_ups.clear()
+        asked.clear()
+        assert two_dimension(P).value == d
+        assert len(set_ups) == 1
+        start = dimension._Plan(P).start
+        assert asked == [(w, w == d) for w in range(max(q, start), min(d + 1, u))]
+
+
+def test_closed_forms_in_colour_routed_territory(monkeypatch):
+    # values that no backend computed: d(chain(n)) = n - 1, d(hypercube(k)) = k
+    # and d(realize(n, m)) = m; each routes to the colouring, and its bracket closes
+    set_ups, _ = spy_exact_colouring(monkeypatch)
+    monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
+    cases = [(chain(n), n - 1) for n in range(8, 14)] + [(hypercube(4), 4)]
+    cases += [(realize(10, m), m) for m in range(4, 11)]
+    for P, value in cases:
+        cert = two_dimension(P, max_size=len(P))
+        assert cert.value == cert.witness.width == value
+        assert cert.exhausted_below and verify_embedding(cert.witness)
+    assert len(hypercube(4)) == 16 and not set_ups
 
 
 def test_colouring_raises_on_invalid_witness(monkeypatch):
