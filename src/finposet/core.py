@@ -19,7 +19,6 @@ dedupes by them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -32,12 +31,11 @@ CENSUS_GUARD = 20
 # has exactly |Aut| smallest-form leaves, less twin swaps it skips; at 10
 # points the worst family, disjoint 2-chains, has five copies and 5! = 120.
 ISO_GUARD = 10
-# _ranked transposes by block swaps, and structure_stats walks lower
-# covers instead of all strict pairs, when the rows hold at least this
-# many strict pairs per point (_dense), so from 2 * 8 + 1 = 17 points up.
-# A transpose costs about the same at any density and the pair walk
-# grows with the pairs: on random posets of 16-300 points the two broke
-# even at 5-7 pairs per point for _ranked and 9-12 for structure_stats.
+# _ranked transposes by block swaps, instead of walking the strict pairs,
+# when the rows hold at least this many strict pairs per point (_dense),
+# so from 2 * 8 + 1 = 17 points up.  A transpose costs about the same at
+# any density and the pair walk grows with the pairs: on random posets of
+# 16-300 points the two broke even at 5-7 pairs per point.
 TRANSPOSE_MIN_DEGREE = 8
 
 
@@ -234,19 +232,10 @@ def build_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -
 
 def covers(P: Poset) -> list[tuple[str, str]]:
     """The transitive reduction: pairs (x, y), x < y with nothing between, by
-    index of x then y; ``_lower_covers`` finds them without P's up rows.
-    When the index order is already a linear extension (as for chains,
-    cubes and canonical forms) the strict rows are read as they are."""
-    down, names = P.down_rows, P.elements
-    if _naturally_labeled(down):
-        order: Sequence[int] = range(len(P))
-        below = [row ^ 1 << i for i, row in enumerate(down)]
-    else:
-        order = sorted(range(len(P)), key=lambda i: down[i].bit_count())
-        below = _ranked(down, order)[1]
-    lower = _lower_covers(below)
+    index of x then y, read off ``_cover_walk`` without P's up rows."""
+    order, lower = _cover_walk(P.down_rows)
     pairs = sorted((order[s], order[t]) for t, row in enumerate(lower) for s in _bits(row))
-    return [(names[x], names[y]) for x, y in pairs]
+    return [(P.elements[x], P.elements[y]) for x, y in pairs]
 
 
 def opposite(P: Poset) -> Poset:
@@ -464,6 +453,24 @@ def _lower_covers(below: Sequence[int]) -> list[int]:
     return out
 
 
+def _cover_walk(rows: Sequence[int]) -> tuple[Sequence[int], list[int]]:
+    """A linear extension of the reflexive down rows, as indices, and the
+    lower covers at each of its positions, as position masks.
+
+    When the index order is already a linear extension (as for chains,
+    cubes and canonical forms) the strict rows are read as they are; else
+    the points are taken by down-set size, ties by index, and the rows
+    relabeled to positions by ``_ranked``.
+    """
+    if _naturally_labeled(rows):
+        order: Sequence[int] = range(len(rows))
+        below = [row ^ 1 << i for i, row in enumerate(rows)]
+    else:
+        order = sorted(range(len(rows)), key=lambda i: rows[i].bit_count())
+        below = _ranked(rows, order)[1]
+    return order, _lower_covers(below)
+
+
 def _relabel(rows: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     """Down rows after renaming label i to perm[i]."""
     out = [0] * len(rows)
@@ -629,60 +636,20 @@ def is_isomorphic(P: Poset, Q: Poset, guard: int = ISO_GUARD) -> bool:
 def structure_stats(P: Poset) -> StructureStats:
     """Height (longest chain minus one) and a deterministic linear extension.
 
-    The extension is the lexicographically least one: each step takes the
-    first element, in declared order, whose strict down-set is already
-    placed.  When the rows are naturally labeled (``_naturally_labeled``)
-    that is the declared order itself.  ``_linear_extension`` finds both
-    over indices, and the extension is named here.
+    Both are read off ``_cover_walk``: the extension is its order, the
+    declared order when that is a linear extension and else the points by
+    down-set size, ties by index.  A longest chain is a chain of covers,
+    so each position lies one deeper than its deepest lower cover, and
+    the height is the largest depth.
     """
-    height, order = _linear_extension(P.down_rows)
-    return StructureStats(height, [P.elements[i] for i in order])
-
-
-def _linear_extension(rows: Sequence[int]) -> tuple[int, list[int]]:
-    """structure_stats over reflexive down rows: the height and the least linear extension as indices.
-
-    One pass finds both: every index counts its unplaced predecessors,
-    and a heap holds the indices whose count is zero.  Placing an index
-    lowers the counts of its successors and passes them its depth plus
-    one, so the height falls out of the same pass.  On dense rows
-    (``_dense``) predecessors and successors are lower and upper covers
-    (read off ``_ranked`` along the down-set sizes), else all strict
-    pairs.  Both give the same pass: the placed set is down-closed, so a
-    point's strict down-set is placed exactly when its lower covers are,
-    and a longest chain is a chain of covers.
-    """
-    n = len(rows)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    count = [0] * n
-    if _dense(rows):
-        order = sorted(range(n), key=lambda i: rows[i].bit_count())
-        for t, lower in enumerate(_lower_covers(_ranked(rows, order)[1])):
-            i = order[t]
-            count[i] = lower.bit_count()
-            for s in _bits(lower):
-                succ[order[s]].append(i)
-        ready = [i for i, c in enumerate(count) if not c]
-    else:
-        ready = []
-        for i, row in enumerate(rows):
-            strict = row ^ (1 << i)
-            if strict:
-                count[i] = strict.bit_count()
-                for j in _bits(strict):
-                    succ[j].append(i)
-            else:
-                ready.append(i)
-    depth = [0] * n
-    ext_idx: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        ext_idx.append(i)
-        d = depth[i] + 1
-        for k in succ[i]:
-            if depth[k] < d:
-                depth[k] = d
-            count[k] -= 1
-            if not count[k]:
-                heapq.heappush(ready, k)
-    return max(depth, default=0), ext_idx
+    order, lower = _cover_walk(P.down_rows)
+    depth: list[int] = []
+    for row in lower:
+        d = 0
+        while row:
+            s = row.bit_length() - 1
+            if depth[s] >= d:
+                d = depth[s] + 1
+            row ^= 1 << s
+        depth.append(d)
+    return StructureStats(max(depth, default=0), [P.elements[i] for i in order])

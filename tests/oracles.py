@@ -132,21 +132,19 @@ def close_rows_fixpoint(elements: Sequence[str], relations: Iterable[tuple[str, 
 
 
 def structure_stats_rescan(P: Poset) -> StructureStats:
-    """Height and linear extension by rescanning from the first point after every pick.
+    """Height and linear extension from the definitions.
 
-    Each step takes the first point, in declared order, not yet placed
-    and with its whole strict down-set placed.  The depth of a point is
-    one more than the largest depth strictly below it, taken along the
+    The extension is the declared order when every strict predecessor of
+    a point has a smaller index, and else the points stably sorted by
+    down-set size.  The depth of a point is one more than the largest
+    depth strictly below it, rescanning all strict pairs along the
     extension.
     """
     n = len(P)
     down = P.down_rows
-    placed: list[int] = []
-    taken = 0
-    while len(placed) < n:
-        i = next(i for i in range(n) if not taken >> i & 1 and down[i] & ~taken == 1 << i)
-        placed.append(i)
-        taken |= 1 << i
+    placed = list(range(n))
+    if any(down[i] >> j & 1 for i in range(n) for j in range(i + 1, n)):
+        placed.sort(key=lambda i: bin(down[i]).count("1"))
     depth = [0] * n
     for i in placed:
         depth[i] = max((depth[j] + 1 for j in _set_bits(down[i]) if j != i), default=0)

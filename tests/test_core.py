@@ -27,6 +27,7 @@ from finposet.core import (
     _canonical_rows,
     _dense,
     _down_sets,
+    _naturally_labeled,
     _ranked,
     _relabel,
     _transpose,
@@ -329,7 +330,8 @@ def test_structure_stats():
 
 
 def test_structure_stats_matches_rescan_oracle():
-    # the heap pass must give the first-ready extension the rescan gives
+    # the declared order when it is a linear extension, else by down-set size,
+    # and each depth one past the deepest lower cover
     posets = [P for n in range(8) for P in enumerate_posets(n, up_to_iso=True)]
     rng = random.Random(3)
     for seed in range(100):
@@ -337,10 +339,28 @@ def test_structure_stats_matches_rescan_oracle():
         posets.append(random_poset(n, rng.choice([0.02, 0.1, 0.3]) * 20 / n, seed=seed))
     posets.append(suspension(antichain(2), 99))
     assert len(posets[-1]) == 200
-    # both sides of the crossover: covers on dense rows, all strict pairs on the rest
-    assert {_dense(P.down_rows) for P in posets if len(P) > 2 * TRANSPOSE_MIN_DEGREE} == {True, False}
+    # both sides of the natural fork, each on small or sparse rows and on dense ones
+    sides = {(_naturally_labeled(P.down_rows), _dense(P.down_rows)) for P in posets}
+    assert sides == set(itertools.product((True, False), repeat=2))
     for P in posets:
         assert structure_stats(P) == structure_stats_rescan(P)
+
+
+def test_structure_stats_and_covers_under_relabeling():
+    # a shuffled declaration keeps the height and the covers, and both
+    # extensions are linear extensions
+    posets = [P for n in range(1, 7) for P in enumerate_posets(n, up_to_iso=True)]
+    posets += [random_poset(n, p, seed=n) for n in (12, 40, 120) for p in (0.05, 0.3)]
+    posets += [suspension(antichain(2), 99), hypercube(6)]
+    for k, P in enumerate(posets):
+        Q = declared_shuffled(P, k)
+        assert structure_stats(P).height == structure_stats(Q).height
+        assert set(covers(P)) == set(covers(Q))
+        for R in (P, Q):
+            ext = structure_stats(R).linear_extension
+            pos = {x: k for k, x in enumerate(ext)}
+            assert len(ext) == len(pos) == len(R)
+            assert all(pos[x] <= pos[y] for y in R for x in R.down_set(y))
 
 
 def test_is_isomorphic():

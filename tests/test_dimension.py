@@ -716,6 +716,21 @@ def test_closed_forms_in_colour_routed_territory(monkeypatch):
     assert len(hypercube(4)) == 16 and not set_ups
 
 
+def test_closed_forms_past_census_sizes():
+    # the same closed forms at 13-64 points, and d(antichain(n)) is the least
+    # w with C(w, floor(w/2)) >= n (Sperner); whichever backend answers
+    cases = [(chain(n), n - 1) for n in (16, 24, 32, 40)] + [(hypercube(5), 5), (hypercube(6), 6)]
+    for n in (24, 40):
+        low = (n - 1).bit_length()  # the least admissible m
+        cases += [(realize(n, m), m) for m in (low, n // 2, n - 1, n)]
+    cases += [(antichain(n), next(w for w in range(n) if comb(w, w // 2) >= n)) for n in (13, 16, 20)]
+    assert [value for P, value in cases[-3:]] == [6, 6, 6]
+    for P, value in cases:
+        cert = two_dimension(P, max_size=len(P))
+        assert cert.value == cert.witness.width == value, (len(P), value)
+        assert cert.exhausted_below and verify_embedding(cert.witness)
+
+
 def test_colouring_raises_on_invalid_witness(monkeypatch):
     monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
     monkeypatch.setattr(dimension, "verify_embedding", lambda E: False)
