@@ -6,11 +6,12 @@ Embeddings are stored as one subset mask per element; coordinate i is
 bit i, and bitstrings print coordinate 0 first.
 
 Four routes produce certified embeddings.  Two are exact and sit behind
-two_dimension, chosen by size and up-set count: an exact colouring of
-the critical-pair graph, whose chromatic number is the 2-dimension, the
-faster one on posets of 8 points or more with few up-sets (it brackets
-that number between a greedy clique and a greedy colouring, and branches
-only on the widths in between), and an exhaustive width search that
+two_dimension, chosen by size, up-set count and lower bound: an exact
+colouring of the critical-pair graph, whose chromatic number is the
+2-dimension, the faster one on posets of 8 points or more with few
+up-sets and the only one past WIDTH_GUARD (it brackets that number
+between a greedy clique and a greedy colouring, and runs a DSATUR of
+its own on each width in between), and an exhaustive width search that
 returns the least embedding along the search order (keeping each point's
 candidate masks as one bitset over the cube, narrowed as earlier points
 are placed so that a branch ends as soon as a later point has no
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .core import Poset, StructureStats, _bits, _down_sets, remove_element, structure_stats
+from .core import Poset, StructureStats, _bits, _down_sets, _lower_covers, remove_element, structure_stats
 from .errors import (
     EmptyPoset,
     InvalidEmbedding,
@@ -499,8 +500,8 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     the first colour class that holds none of its neighbours, which uses
     U colours.  So each width below q is refuted at once, and each width
     from U up gets the greedy colouring as its witness, built by walking
-    each coordinate's up-set.  Only the widths in between run an exact
-    DSATUR (_exact_colouring), set up on the first of them.  The
+    each coordinate's up-set.  Each width in between runs one exact DSATUR
+    (_exact_colouring), and nothing else is kept between widths.  The
     embedding need not be the least one that the width search gives.
     """
     below, above = plan.below, plan.above
@@ -516,27 +517,23 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
     ]
     m = len(pairs)
     # the pairs whose x lies at or below each point and those whose y lies
-    # at or above it: each point's own, then passed up and down the covers.
-    # The highest position left in a strict down row is a lower cover, and
-    # dropping its down-set leaves the others (dually for the up rows).
+    # at or above it: each point's own, then passed up and down the covers
     x_at_or_below, y_at_or_above = [0] * n, [0] * n
     for p, (x, y) in enumerate(pairs):
         x_at_or_below[x] |= 1 << p
         y_at_or_above[y] |= 1 << p
-    for t in range(n):
-        row, found = below[t], x_at_or_below[t]
+    covers = _lower_covers(below)
+    for t, row in enumerate(covers):
         while row:
-            s = row.bit_length() - 1
-            found |= x_at_or_below[s]
-            row &= ~down[s]
-        x_at_or_below[t] = found
+            low = row & -row
+            x_at_or_below[t] |= x_at_or_below[low.bit_length() - 1]
+            row ^= low
     for t in reversed(range(n)):
-        row, found = above[t], y_at_or_above[t]
+        row, found = covers[t], y_at_or_above[t]
         while row:
-            s = (row & -row).bit_length() - 1
-            found |= y_at_or_above[s]
-            row &= ~up[s]
-        y_at_or_above[t] = found
+            low = row & -row
+            y_at_or_above[low.bit_length() - 1] |= found
+            row ^= low
     # pair p meets the pairs whose x lies at or below p's y, and those whose y lies at or above p's x
     meets = [x_at_or_below[y] | y_at_or_above[x] for x, y in pairs]
     degree = [a.bit_count() for a in meets]
@@ -564,7 +561,6 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
                 c = len(classes)
                 classes.append(1 << p)
             greedy[p] = c
-    exact: Callable[[int], list[int] | None] | None = None
 
     def witness(width: int, colour: list[int]) -> CubeEmbedding:
         """The embedding at width whose coordinate c is the up-closure of the x's of colour c."""
@@ -581,77 +577,66 @@ def _colour_embedding(plan: _Plan) -> Callable[[int], CubeEmbedding | None]:
         return plan.embedding(width, masks)
 
     def embed_at(width: int) -> CubeEmbedding | None:
-        nonlocal exact
         if width < len(clique):
             return None
         if width >= len(classes):
             return witness(width, greedy)
-        if exact is None:
-            exact = _exact_colouring(meets, degree, clique)
-        colour = exact(width)
+        colour = _exact_colouring(meets, degree, clique, width)
         return None if colour is None else witness(width, colour)
 
     return embed_at
 
 
 def _exact_colouring(
-    meets: Sequence[int], degree: Sequence[int], clique: Sequence[int]
-) -> Callable[[int], list[int] | None]:
-    """An exact DSATUR colouring of the graph meets, set up once, then one width per call.
+    meets: Sequence[int], degree: Sequence[int], clique: Sequence[int], width: int
+) -> list[int] | None:
+    """An exact DSATUR colouring of the graph meets with width colours, or None.
 
     meets[p] is the bitmask of p's neighbours and degree[p] its size; the
-    clique keeps colours 0..q-1.  The returned function maps a width w >= q
-    to a colour in range(w) per vertex, neighbours apart, or to None when
-    there is none.  Each width colours the other vertices by DSATUR
-    (Brelaz 1979; San Segundo, Computers & OR 2012): the vertex with the
-    most colours among its neighbours (then the highest degree) is tried
-    with each colour in use that they leave it, then with one new colour,
-    the next index, and a branch ends as soon as some vertex has all w
-    colours among its neighbours.  The set-up lists each vertex's
-    neighbours and seeds the clique's colours; each width copies the seeds.
+    clique keeps colours 0..q-1, for q <= width.  The result is a colour
+    in range(width) per vertex, neighbours apart.  The other vertices are
+    coloured by DSATUR (Brelaz 1979; San Segundo, Computers & OR 2012):
+    the vertex with the most colours among its neighbours (then the
+    highest degree, then the lowest index) is tried with each colour in
+    use that they leave it, then with one new colour, the next index, and
+    a branch ends as soon as some uncoloured vertex has all width colours
+    among its neighbours.  The uncoloured vertices are kept as one bitmask.
     """
     m = len(meets)
-    adjacent = [list(_bits(a)) for a in meets]
+    every, left = (1 << width) - 1, (1 << m) - 1
     # with the clique coloured: each vertex's colour, the colours among its
     # neighbours, and its rank (that colour count, then its degree)
     step = m + 1
-    seeded_colour, seeded_blocked, seeded_rank = [0] * m, [0] * m, list(degree)
+    colour, blocked, rank = [0] * m, [0] * m, list(degree)
     for c, p in enumerate(clique):
-        seeded_colour[p] = c
-        for r in adjacent[p]:
-            seeded_blocked[r] |= 1 << c
-            seeded_rank[r] += step
-    rest = sorted(set(range(m)).difference(clique))
+        colour[p] = c
+        left ^= 1 << p
+        for r in _bits(meets[p]):
+            blocked[r] |= 1 << c
+            rank[r] += step
 
-    def colour_at(width: int) -> list[int] | None:
-        every = (1 << width) - 1
-        colour, blocked, rank = seeded_colour[:], seeded_blocked[:], seeded_rank[:]
-
-        def extend(left: list[int], used: int) -> bool:
-            """Colour the vertices in left, with colours 0..used-1 taken so far."""
-            if not left:
+    def extend(left: int, used: int) -> bool:
+        """Colour the vertices in the bitmask left, with colours 0..used-1 taken so far."""
+        if not left:
+            return True
+        p = max(_bits(left), key=rank.__getitem__)
+        left ^= 1 << p
+        # the colours in use that p's neighbours leave it, then one new colour
+        for c in _bits(~blocked[p] & ((1 << min(used + 1, width)) - 1)):
+            bit = 1 << c
+            touched = [r for r in _bits(meets[p] & left) if not blocked[r] & bit]
+            for r in touched:
+                blocked[r] |= bit
+                rank[r] += step
+            if all(blocked[r] != every for r in touched) and extend(left, max(used, c + 1)):
+                colour[p] = c
                 return True
-            p = max(left, key=rank.__getitem__)
-            later = [r for r in left if r != p]
-            # the colours in use that p's neighbours leave it, then one new colour
-            for c in _bits(~blocked[p] & ((1 << min(used + 1, width)) - 1)):
-                bit = 1 << c
-                # a coloured neighbour never has p's colour c, so it never gets all w either
-                touched = [r for r in adjacent[p] if not blocked[r] & bit]
-                for r in touched:
-                    blocked[r] |= bit
-                    rank[r] += step
-                if all(blocked[r] != every for r in touched) and extend(later, max(used, c + 1)):
-                    colour[p] = c
-                    return True
-                for r in touched:
-                    blocked[r] ^= bit
-                    rank[r] -= step
-            return False
+            for r in touched:
+                blocked[r] ^= bit
+                rank[r] -= step
+        return False
 
-        return colour if extend(rest, len(clique)) else None
-
-    return colour_at
+    return colour if extend(left, len(clique)) else None
 
 
 def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
@@ -659,17 +644,19 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
 
     One plan of P (_Plan) feeds two exact backends, each set up once and
     then answering one width per call: the colouring of the critical-pair
-    graph (_colour_embedding) for a poset of at least COLOUR_MIN_SIZE
-    points with at most COLOUR_LIMIT up-sets, the width search
-    (_search_embedding) for any other.  A down-set walk over the plan's
-    strict rows, stopped once it passes COLOUR_LIMIT, counts the up-sets
-    and only routes.  One loop (_least_embedding) asks the chosen backend
-    width by width from the plan's start, lower_bound(P), up to |P| at
-    most: the canonical embedding has width |P|, and the critical pairs
-    grouped by their y colour the graph with at most |P| colours, since no
-    x_a <= y holds inside a group.  The colouring refutes the widths below
-    its greedy clique and answers those from its greedy colouring's size
-    up at once, so when these bounds meet (or the plan's start reaches the
+    graph (_colour_embedding) for a poset whose plan's start is past
+    WIDTH_GUARD (the search would refuse its first width) or of at least
+    COLOUR_MIN_SIZE points with at most COLOUR_LIMIT up-sets, the width
+    search (_search_embedding) for any other.  A down-set walk over the
+    plan's strict rows, stopped once it passes COLOUR_LIMIT, counts the
+    up-sets and only routes.  One loop (_least_embedding) asks the chosen
+    backend width by width from the plan's start, lower_bound(P), up to
+    |P| at most: the canonical embedding has width |P|, and the critical
+    pairs grouped by their y colour the graph with at most |P| colours,
+    since no x_a <= y holds inside a group.  The colouring refutes the
+    widths below its greedy clique and answers those from its greedy
+    colouring's size up at once, and runs one DSATUR on each width
+    between, so when these bounds meet (or the plan's start reaches the
     colouring's size) no width branches.  The first width answered, with
     its witness verified, is the value; the witness is the least embedding
     along the search order only when the width search gave it.
@@ -682,7 +669,9 @@ def two_dimension(P: Poset, max_size: int = SIZE_GUARD) -> DimCertificate:
     if n > max_size:
         raise TooLarge(f"exact 2-dimension is capped at {max_size} elements; pass max_size to override")
     plan = _Plan(P)
-    colour = n >= COLOUR_MIN_SIZE and _down_sets(plan.below, range(n), COLOUR_LIMIT) is not None
+    colour = plan.start > WIDTH_GUARD or (
+        n >= COLOUR_MIN_SIZE and _down_sets(plan.below, range(n), COLOUR_LIMIT) is not None
+    )
     embed_at = _colour_embedding(plan) if colour else _search_embedding(plan)
     E = _least_embedding(plan, embed_at)
     return DimCertificate(E.width, E, True)

@@ -352,6 +352,27 @@ def two_dimension_cover(P: Poset) -> int:
     return next(w for w in count() if coverable(w, everything))
 
 
+def critical_pair_graph(P: Poset, order: Sequence[str]) -> list[int]:
+    """The neighbours of each critical pair of P as a bitmask, the pairs listed along order, x-major then y.
+
+    (x, y) is critical when x is not <= y, every z < x lies below y and
+    every v > y lies above x.  Pairs a and b are joined when x_a <= y_b
+    or x_b <= y_a.
+    """
+    pairs = [
+        (x, y)
+        for x in order
+        for y in order
+        if not P.leq(x, y)
+        and all(P.leq(z, y) for z in order if z != x and P.leq(z, x))
+        and all(P.leq(x, v) for v in order if v != y and P.leq(y, v))
+    ]
+    meets = [
+        sum(1 << b for b, (xb, yb) in enumerate(pairs) if P.leq(xa, yb) or P.leq(xb, ya)) for xa, ya in pairs
+    ]
+    return meets
+
+
 def covers_brute(P: Poset) -> list[tuple[str, str]]:
     """Pairs (x, y) with x < y and no z strictly between, by element order of x, then y."""
     elements = list(P)

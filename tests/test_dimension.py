@@ -49,6 +49,7 @@ from finposet.core import (
 from finposet.dimension import extend_embedding_at_beat_point
 from oracles import (
     covers_brute,
+    critical_pair_graph,
     declared_shuffled,
     exists_embedding_naive,
     fail_first_extension,
@@ -152,9 +153,11 @@ def test_exists_embedding_guards():
 
 
 def test_width_guard_holds_on_both_paths():
-    # the 32-chain needs width 31, past WIDTH_GUARD: two_dimension's search refuses at once
-    with pytest.raises(TooWide):
-        two_dimension(disjoint_union(chain(32), antichain(9)), max_size=41)
+    # the 32-chain needs width 31, past WIDTH_GUARD: two_dimension sends it
+    # to the colouring, since the search would refuse its first width
+    cert = two_dimension(disjoint_union(chain(32), antichain(9)), max_size=41)
+    assert cert.value == cert.witness.width == 33
+    assert cert.exhausted_below and verify_embedding(cert.witness)
     with pytest.raises(TooWide):
         exists_embedding(antichain(3), dimension.WIDTH_GUARD + 1)
 
@@ -624,23 +627,19 @@ def colouring_answers_every_width(P):
 
 
 def spy_exact_colouring(monkeypatch):
-    """Record each set-up of the exact colouring, and each width it is asked with whether it answered."""
-    set_ups, asked = [], []
+    """Record each call of the exact colouring: its graph as (meets, degree,
+    clique), and its width with whether it answered."""
+    graphs, asked = [], []
     original = dimension._exact_colouring
 
-    def set_up(*args):
-        set_ups.append(args)
-        colour_at = original(*args)
+    def spied(meets, degree, clique, width):
+        colour = original(meets, degree, clique, width)
+        graphs.append((meets, degree, clique))
+        asked.append((width, colour is not None))
+        return colour
 
-        def at(width):
-            colour = colour_at(width)
-            asked.append((width, colour is not None))
-            return colour
-
-        return at
-
-    monkeypatch.setattr(dimension, "_exact_colouring", set_up)
-    return set_ups, asked
+    monkeypatch.setattr(dimension, "_exact_colouring", spied)
+    return graphs, asked
 
 
 # colour-routed posets with a gap, as (poset, greedy clique q, value d,
@@ -671,33 +670,35 @@ def test_colouring_answers_every_width_downwards(monkeypatch):
     for n, p, seed, up_sets in COLOUR_BAND:
         P = random_poset(n, p, seed)
         assert len(_down_sets(P.down_rows, dimension._Plan(P).order)) == up_sets
-    set_ups, asked = spy_exact_colouring(monkeypatch)
+    graphs, asked = spy_exact_colouring(monkeypatch)
     for P, q, d, u in GAPS:
-        set_ups.clear()
+        graphs.clear()
         asked.clear()
         colouring_answers_every_width(P)
-        # set up once; asked exactly the widths in the gap, twice each, and answers from d
-        assert len(set_ups) == 1
+        # asked exactly the widths in the gap, twice each, and answers from d
         assert sorted(asked) == sorted(2 * [(w, w >= d) for w in range(q, u)])
-    set_ups.clear()
+        # each call colours the oracle's critical-pair graph along the plan's order, from a clique in it
+        meets = critical_pair_graph(P, [P.elements[i] for i in dimension._Plan(P).order])
+        for graph, degree, clique in graphs:
+            assert list(graph) == meets and list(degree) == [a.bit_count() for a in meets]
+            assert len(clique) == q and all(meets[a] >> b & 1 for a, b in itertools.combinations(clique, 2))
+    asked.clear()
     for P in CLOSED + (chain(8), realize(10, 6)):
         colouring_answers_every_width(P)
-    assert not set_ups
+    assert not asked
 
 
 def test_closed_bracket_never_enters_the_exact_colouring(monkeypatch):
-    set_ups, asked = spy_exact_colouring(monkeypatch)
+    _, asked = spy_exact_colouring(monkeypatch)
     monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
     for P in CLOSED:
         assert verify_embedding(two_dimension(P).witness)
-    assert not set_ups and not asked
-    # a poset with a gap enters it once, from width max(q, start) up to the
-    # value, or up to U - 1 when the greedy colouring answers the value
+    assert not asked
+    # a poset with a gap enters it once per width, from max(q, start) up to
+    # the value, or up to U - 1 when the greedy colouring answers the value
     for P, q, d, u in GAPS:
-        set_ups.clear()
         asked.clear()
         assert two_dimension(P).value == d
-        assert len(set_ups) == 1
         start = dimension._Plan(P).start
         assert asked == [(w, w == d) for w in range(max(q, start), min(d + 1, u))]
 
@@ -705,7 +706,7 @@ def test_closed_bracket_never_enters_the_exact_colouring(monkeypatch):
 def test_closed_forms_in_colour_routed_territory(monkeypatch):
     # values that no backend computed: d(chain(n)) = n - 1, d(hypercube(k)) = k
     # and d(realize(n, m)) = m; each routes to the colouring, and its bracket closes
-    set_ups, _ = spy_exact_colouring(monkeypatch)
+    _, asked = spy_exact_colouring(monkeypatch)
     monkeypatch.setattr(dimension, "_search_embedding", lambda plan: pytest.fail("routed to the search"))
     cases = [(chain(n), n - 1) for n in range(8, 14)] + [(hypercube(4), 4)]
     cases += [(realize(10, m), m) for m in range(4, 11)]
@@ -713,7 +714,7 @@ def test_closed_forms_in_colour_routed_territory(monkeypatch):
         cert = two_dimension(P, max_size=len(P))
         assert cert.value == cert.witness.width == value
         assert cert.exhausted_below and verify_embedding(cert.witness)
-    assert len(hypercube(4)) == 16 and not set_ups
+    assert len(hypercube(4)) == 16 and not asked
 
 
 def test_closed_forms_past_census_sizes():
@@ -723,6 +724,8 @@ def test_closed_forms_past_census_sizes():
     for n in (24, 40):
         low = (n - 1).bit_length()  # the least admissible m
         cases += [(realize(n, m), m) for m in (low, n // 2, n - 1, n)]
+    # lower bounds of 21-27, past WIDTH_GUARD, so the colouring answers
+    cases += [(realize(40, m), m) for m in range(21, 28)]
     cases += [(antichain(n), next(w for w in range(n) if comb(w, w // 2) >= n)) for n in (13, 16, 20)]
     assert [value for P, value in cases[-3:]] == [6, 6, 6]
     for P, value in cases:
