@@ -10,10 +10,15 @@ automorphism of the class maps its down-set onto one already extended
 The extensions that remain still meet some classes more than once, so
 each level is deduplicated by canonical form (``core._canonical_rows``),
 which also gives each class's |Aut| and the generators of Aut that the
-next level's orbits come from.  Labeled enumeration expands each class
-into its orbit, the distinct relabelings on 0..n-1.  Census checks run once
-per class and count a class's labeled posets as n!/|Aut|, the size of
-its orbit; only a failing class is expanded, into its counterexamples.
+next level's orbits come from.  The last level needs no generators, and
+there an extension whose new top is the only maximal point with the
+largest down-set is a class of its own: it is kept as built, with |Aut|
+from its down-set's orbit, and no canonical form.  Unlabeled enumeration
+canonicalises those classes and sorts all the forms; labeled enumeration
+expands each class into its orbit, the distinct relabelings on 0..n-1.
+Census checks run once per class, on the representative the enumeration
+gives, and count a class's labeled posets as n!/|Aut|, the size of its
+orbit; only a failing class is expanded, into its counterexamples.
 
 Every check takes ``(P, dim)`` and asks ``dim`` for the 2-dimensions it
 needs.  One ``census_check`` call passes all its checks one ``dim`` whose
@@ -60,10 +65,11 @@ def _names(n: int) -> list[str]:
 
 def _iso_classes(
     n: int, log: Callable[[str], None] | None = None
-) -> tuple[list[Poset], list[int], int]:
-    """One canonical representative per isomorphism class, sorted by row tuple,
-    the order of each one's automorphism group, and the number of canonical
-    forms computed on the way.
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int], int]:
+    """One representative per isomorphism class of the n-point posets, mapped
+    to the order of its automorphism group, in two dicts: the canonical forms,
+    and the classes accepted without one; and the number of canonical forms
+    computed on the way.
 
     Grown one maximal point at a time: the classes on j+1 points are
     the canonical forms of a representative R on j points plus a new top
@@ -89,21 +95,38 @@ def _iso_classes(
     that ``_canonical_rows`` returned with R's form; the work is skipped
     when |Aut(R)| is 1 or one down-set is left.
 
+    On the last level, the one no later level extends, an extension whose
+    new top j is the only maximal point with the largest down-set (no
+    maximal point of R outside d has a down-set of |d| + 1 points) is accepted
+    as built, with no canonical form.  No other extension kept is
+    isomorphic to it.  An isomorphism from R + d onto R' + d' maps the
+    only heaviest top j onto the only heaviest top of R' + d', which is
+    j, so it restricts to an isomorphism from R onto R' that maps d onto
+    d'.  The R of one level are distinct classes, so R = R', d and d' lie
+    in one Aut(R)-orbit and only one of them was extended.  An extension
+    where the top ties with another maximal point is not isomorphic to
+    it either, since the tie is an isomorphism invariant.  Every
+    automorphism of R + d fixes j, so Aut(R + d) is the stabiliser of d
+    in Aut(R), of order |Aut(R)| / |orbit of d|.  The tied extensions,
+    and every extension of an earlier level (whose generators the next
+    level's orbits need), are deduplicated by canonical form.
+
     With a log, one ``STATS level`` line is passed to it as each level
     finishes: its number of points, its classes, the down-sets the
     filter kept, those dropped as not first in their orbit, the canonical
-    forms computed and the seconds.
+    forms computed, the extensions accepted without one and the seconds.
     """
-    level: list[tuple[int, ...]] = [()]
     forms: dict[tuple[int, ...], int] = {(): 1}  # canonical form -> |Aut|
     generators: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}  # of the level to extend
+    built: dict[tuple[int, ...], int] = {}  # last level, accepted without a form -> |Aut|
     computed = 0
     for j in range(n):
         start = time.perf_counter()
+        last = j + 1 == n
         grown: dict[tuple[int, ...], int] = {}
         grown_generators: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         heaviest = extended = 0
-        for rows in level:
+        for rows, automorphisms in forms.items():
             below = 0
             for i, row in enumerate(rows):
                 below |= row ^ 1 << i
@@ -114,33 +137,40 @@ def _iso_classes(
                     heavier[t] |= 1 << i
             tops = [d for d in _down_sets(rows, range(j)) if not heavier[d.bit_count() + 1] & ~d]
             heaviest += len(tops)
-            if forms[rows] > 1 and len(tops) > 1:
-                tops = _one_per_orbit(tops, generators[rows])
-            for d in tops:
-                form, order, gens = _canonical_rows(rows + (d | 1 << j,))
+            if automorphisms > 1 and len(tops) > 1:
+                orbits = _one_per_orbit(tops, generators[rows])
+            else:  # every kept down-set is fixed by Aut(R)
+                orbits = [(d, 1) for d in tops]
+            for d, size in orbits:
+                child = rows + (d | 1 << j,)
+                if last and not heavier[d.bit_count()] & ~d:  # j is the only heaviest top
+                    built[child] = automorphisms // size
+                    continue
+                form, order, gens = _canonical_rows(child)
                 grown[form] = order
-                if j + 1 < n:  # the last level's generators would go unused
+                if not last:  # the last level's generators would go unused
                     grown_generators[form] = gens
-            extended += len(tops)
-        forms, generators, level = grown, grown_generators, sorted(grown)
-        computed += extended
+            extended += len(orbits)
+        forms, generators = grown, grown_generators
+        computed += extended - len(built)
         if log is not None:
-            log(f"STATS level {j + 1} classes={len(level)} heaviest_tops={heaviest}"
-                f" orbit_pruned={heaviest - extended} canonical_forms={extended}"
-                f" seconds={time.perf_counter() - start:.3f}")
-    names = _names(n)
-    return [Poset(names, rows) for rows in level], [forms[rows] for rows in level], computed
+            log(f"STATS level {j + 1} classes={len(forms) + len(built)} heaviest_tops={heaviest}"
+                f" orbit_pruned={heaviest - extended} canonical_forms={extended - len(built)}"
+                f" unique_tops={len(built)} seconds={time.perf_counter() - start:.3f}")
+    return forms, built, computed
 
 
-def _one_per_orbit(masks: list[int], generators: list[tuple[int, ...]]) -> list[int]:
+def _one_per_orbit(masks: list[int], generators: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     """The first mask of each orbit, in the given order, of the group generated
-    by the generators (permutations of bit positions); masks is a union of orbits."""
+    by the generators (permutations of bit positions), with the orbit's size;
+    masks is a union of orbits."""
     images = [[1 << i for i in g] for g in generators]  # images[k][i]: bit i's image under g_k
-    kept, seen = [], set()
+    kept: list[tuple[int, int]] = []
+    seen: set[int] = set()
     for d in masks:
         if d in seen:
             continue
-        kept.append(d)
+        before = len(seen)
         seen.add(d)
         todo = [d]
         while todo:
@@ -154,6 +184,7 @@ def _one_per_orbit(masks: list[int], generators: list[tuple[int, ...]]) -> list[
                 if image not in seen:
                     seen.add(image)
                     todo.append(image)
+        kept.append((d, len(seen) - before))
     return kept
 
 
@@ -179,12 +210,13 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
     orders of magnitude larger.
     """
     _check_size(n, up_to_iso)
-    classes, _, _ = _iso_classes(n)
+    forms, built, _ = _iso_classes(n)
     if up_to_iso:
-        return classes
+        found = [*forms, *(_canonical_rows(rows)[0] for rows in built)]
+    else:
+        found = set().union(*(_orbit(rows) for rows in forms | built))
     names = _names(n)
-    labeled = set().union(*(_orbit(P.down_rows) for P in classes))
-    return [Poset(names, rows) for rows in sorted(labeled)]
+    return [Poset(names, rows) for rows in sorted(found)]
 
 
 def random_poset(n: int, edge_prob: float = 0.5, seed: int | None = None) -> Poset:
@@ -303,9 +335,11 @@ def census_check(
 
     Unknown names raise UnknownCheck before any work starts, and a name
     given twice runs once, at its first place in the list.  Every check
-    must be an isomorphism invariant: it runs once per class, on the
-    canonical representative.  Unlabeled, each class counts once and a
-    failing representative is a counterexample.  Labeled, a class counts
+    must be an isomorphism invariant: it runs once per class, on one
+    representative of it, a canonical form or not (see ``_iso_classes``).
+    Unlabeled, each class counts once and the canonical forms of the
+    failing classes, in sorted order, are the counterexamples, as in
+    ``enumerate_posets(n, up_to_iso=True)``.  Labeled, a class counts
     as its orbit (its n!/|Aut| distinct relabelings on 0..n-1), and the
     counterexamples are the orbits of the failing classes in sorted row
     order, as in ``enumerate_posets(n)``.
@@ -335,18 +369,23 @@ def census_check(
         return d
 
     start = time.perf_counter()
-    classes, automorphisms, forms = _iso_classes(n, log)
+    forms, built, computed_forms = _iso_classes(n, log)
+    automorphisms = forms | built
     if log is not None:
-        log(f"STATS enumerate classes={len(classes)} canonical_forms={forms}"
+        log(f"STATS enumerate classes={len(automorphisms)} canonical_forms={computed_forms}"
             f" seconds={time.perf_counter() - start:.3f}")
-    posets = len(classes) if up_to_iso else sum(math.factorial(n) // a for a in automorphisms)
+    posets = len(automorphisms) if up_to_iso else sum(math.factorial(n) // a for a in automorphisms.values())
     names = _names(n)
+    classes = [Poset(names, rows) for rows in automorphisms]
     results = []
     for name in wanted:
         fn = CHECKS[name]
         start, computed, asked_before = time.perf_counter(), len(dims), asked
         failing = [P.down_rows for P in classes if not fn(P, dim)]
-        bad = failing if up_to_iso else sorted(rows for form in failing for rows in _orbit(form))
+        if up_to_iso:  # reported by canonical form, in sorted order, whatever the representative
+            bad = sorted(_canonical_rows(rows)[0] for rows in failing)
+        else:
+            bad = sorted(rows for rep in failing for rows in _orbit(rep))
         results.append(CheckResult(name, posets, tuple(Poset(names, rows) for rows in bad)))
         if log is not None:
             log(f"STATS check {name} classes={len(classes)} seconds={time.perf_counter() - start:.3f}"

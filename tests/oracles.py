@@ -282,31 +282,45 @@ def is_isomorphic_brute(P: Poset, Q: Poset) -> bool:
     )
 
 
-def heaviest_top_orbits(P: Poset) -> int:
-    """The orbits of Aut(P) on the down-sets d of P such that a new maximal point
-    above d would have a down-set at least as large as every maximal point's.
-
-    The automorphisms are the permutations of the elements that keep <= both
-    ways, the down-sets the subsets that hold everything below their
-    members, and each down-set is tested by building P with the new point.
-    """
+def automorphisms_brute(P: Poset) -> list[dict[str, str]]:
+    """Every permutation of the elements that keeps <= both ways."""
     elements = list(P.elements)
-    automorphisms = []
+    found = []
     for image in permutations(elements):
         f = dict(zip(elements, image))
         if all(P.leq(x, y) == P.leq(f[x], f[y]) for x in elements for y in elements):
-            automorphisms.append(f)
+            found.append(f)
+    return found
+
+
+def heaviest_top_orbits(P: Poset) -> tuple[int, int]:
+    """The orbits of Aut(P) on the down-sets d of P such that a new maximal point
+    above d would have a down-set at least as large as every maximal point's,
+    and how many of them give it a larger one than every other maximal point's.
+
+    The down-sets are the subsets that hold everything below their members,
+    and each down-set is tested by building P with the new point.
+    """
+    elements = list(P.elements)
+    automorphisms = automorphisms_brute(P)
     top = max(elements, key=len, default="") + "'"  # longer than every element
     pairs = [(x, y) for x in elements for y in elements if P.leq(x, y)]
-    kept = []
+    kept, unique = [], []
     for size in range(len(elements) + 1):
         for d in combinations(elements, size):
             if not all(y in d for x in d for y in elements if P.leq(y, x)):
                 continue
             Q = build_poset(elements + [top], pairs + [(x, top) for x in d])
-            if all(len(Q.down_set(m)) <= len(Q.down_set(top)) for m in Q.maximal_elements()):
+            others = [len(Q.down_set(m)) for m in Q.maximal_elements() if m != top]
+            if all(k <= len(Q.down_set(top)) for k in others):
                 kept.append(d)
-    return len({frozenset(frozenset(f[x] for x in d) for f in automorphisms) for d in kept})
+            if all(k < len(Q.down_set(top)) for k in others):
+                unique.append(d)
+
+    def orbits(down_sets: list[tuple[str, ...]]) -> int:
+        return len({frozenset(frozenset(f[x] for x in d) for f in automorphisms) for d in down_sets})
+
+    return orbits(kept), orbits(unique)
 
 
 def two_dimension_cover(P: Poset) -> int:

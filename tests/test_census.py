@@ -8,6 +8,7 @@ import pytest
 from finposet import (
     EmptyPoset,
     OutOfRange,
+    Poset,
     TooLarge,
     UnknownCheck,
     antichain,
@@ -20,7 +21,7 @@ from finposet import (
 from finposet import census, homotopy
 from finposet.census import CHECKS, enumerate_posets
 from finposet.core import _canonical_rows, _relabel
-from oracles import census_check_brute, exact_dim, heaviest_top_orbits
+from oracles import automorphisms_brute, census_check_brute, exact_dim, heaviest_top_orbits
 
 
 def brute_force_labeled_count(n):
@@ -57,6 +58,7 @@ def test_labeled_counts_against_matrix_filter():
 # SHA-256 of repr([P.down_rows for P in reps]) for each n: pins the
 # canonical representatives and their order, not just their number.
 UNLABELED_DIGESTS = {
+    0: "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
     1: "2f89a856b49d78145fad2bef112e0a7279679104ddb8b55e95b949266fe943ac",
     2: "c29f7b44404ae46750dd43eda03f8b36dda994e2ec588103f93ab9e853bb3e85",
     3: "7b88aaac59b8ae1783c7e3c9e6de369d8303aab9614b9e1bbe95535a89cf31ee",
@@ -69,7 +71,11 @@ UNLABELED_DIGESTS = {
 
 
 def digest(reps):
-    return hashlib.sha256(repr([P.down_rows for P in reps]).encode()).hexdigest()
+    return rows_digest([P.down_rows for P in reps])
+
+
+def rows_digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def test_unlabeled_counts():
@@ -134,24 +140,49 @@ def test_unlabeled_count_8():
     assert digest(reps) == UNLABELED_DIGESTS[8]
 
 
+def iso_classes(n):
+    """The representatives of census._iso_classes(n), with or without a form, mapped to |Aut|."""
+    forms, built, _ = census._iso_classes(n)
+    return forms | built
+
+
 def test_orbit_sizes_are_factorial_over_automorphisms():
     for n in range(7):
-        classes, automorphisms, _ = census._iso_classes(n)
-        assert [len(census._orbit(P.down_rows)) for P in classes] == [
-            math.factorial(n) // a for a in automorphisms
+        classes = iso_classes(n)
+        assert [len(census._orbit(rows)) for rows in classes] == [
+            math.factorial(n) // a for a in classes.values()
         ]
 
 
+def test_classes_without_a_form_canonicalise_to_the_census():
+    # the last level accepts a class whose new top is its only heaviest maximal
+    # point as built; canonicalised, the classes are the census's, each |Aut|
+    # from orbit-stabiliser equal to the canonical form's count
+    for n in range(8):
+        forms, built, _ = census._iso_classes(n)
+        assert forms.keys().isdisjoint(built)
+        canonical = {}
+        for rows, automorphisms in (forms | built).items():
+            form, order, _ = _canonical_rows(rows)
+            assert order == automorphisms
+            canonical[form] = automorphisms
+            if n <= 5:
+                assert len(automorphisms_brute(Poset(census._names(n), rows))) == automorphisms
+        assert len(canonical) == len(forms) + len(built)
+        assert rows_digest(sorted(canonical)) == UNLABELED_DIGESTS[n]
+
+
 def test_automorphisms_and_form_survive_relabeling():
-    classes, automorphisms, _ = census._iso_classes(8)
+    classes = iso_classes(8)
+    reps, automorphisms = list(classes), list(classes.values())
     rng = random.Random(8)
-    by_symmetry = sorted(range(len(classes)), key=automorphisms.__getitem__)
+    by_symmetry = sorted(range(len(reps)), key=automorphisms.__getitem__)
     for k in by_symmetry[-20:] + rng.sample(by_symmetry, 200):
         perm = list(range(8))
         rng.shuffle(perm)
-        rows = classes[k].down_rows
+        rows = reps[k]
         form, order, generators = _canonical_rows(_relabel(rows, perm))
-        assert (form, order) == (rows, automorphisms[k])
+        assert (form, order) == (_canonical_rows(rows)[0], automorphisms[k])
         # each generator is an automorphism of the form, over its labels
         assert all(_relabel(form, g) == form for g in generators)
         assert (order == 1) == (generators == [])
@@ -166,28 +197,39 @@ def counting(monkeypatch, name, fn):
 
 def test_enumeration_skips_tops_that_are_not_heaviest(monkeypatch):
     # without the top filter, the classes of 1-7 points took 6,378 canonical forms,
-    # and 3,569 with it but without the orbit pruning
+    # 3,569 with it but without the orbit pruning, and 2,635 before the last level
+    # accepted the classes whose new top is the only heaviest without a form
     calls = counting(monkeypatch, "_canonical_rows", _canonical_rows)
     census._iso_classes(7)
+    assert len(calls) == 1115
+    # unlabeled enumeration canonicalises the 1,520 classes accepted without a form
+    calls.clear()
+    enumerate_posets(7, up_to_iso=True)
     assert len(calls) == 2635
 
 
 def test_orbit_pruning_computes_one_form_per_orbit():
     # level j extends each class R on j - 1 points once per Aut(R)-orbit of the
-    # down-sets that the heaviest-top filter keeps, counted here by brute force
+    # down-sets that the heaviest-top filter keeps, counted here by brute force;
+    # the last level takes no form for the orbits where the new top is the only heaviest
     lines = []
     census._iso_classes(6, log=lines.append)
     assert [line.split()[:3] for line in lines] == [
         ["STATS", "level", str(j)] for j in range(1, 7)
     ]
     fields = [dict(f.split("=") for f in line.split()[3:]) for line in lines]
-    assert [int(f["canonical_forms"]) for f in fields] == [
-        sum(heaviest_top_orbits(R) for R in enumerate_posets(j, up_to_iso=True))
+    orbits = [
+        [sum(counts) for counts in zip(*map(heaviest_top_orbits, enumerate_posets(j, up_to_iso=True)))]
         for j in range(6)
+    ]
+    unique = [0] * 5 + [orbits[5][1]]
+    assert [int(f["unique_tops"]) for f in fields] == unique == [0, 0, 0, 0, 0, 226]
+    assert [int(f["canonical_forms"]) for f in fields] == [
+        kept - u for (kept, _), u in zip(orbits, unique)
     ]
     assert [int(f["classes"]) for f in fields] == [1, 2, 5, 16, 63, 318]
     for f in fields:
-        pruned = int(f["heaviest_tops"]) - int(f["canonical_forms"])
+        pruned = int(f["heaviest_tops"]) - int(f["canonical_forms"]) - int(f["unique_tops"])
         assert int(f["orbit_pruned"]) == pruned >= 0
 
 
@@ -286,6 +328,14 @@ def test_census_check_expands_failing_orbits(monkeypatch):
     assert (unlabeled.posets, len(unlabeled.counterexamples)) == (16, 5)
 
 
+def test_unlabeled_counterexamples_are_canonical_forms(monkeypatch):
+    # 3 of the 16 classes on 4 points are checked on a representative other than
+    # their canonical form; each class is reported by its form, in sorted order
+    monkeypatch.setitem(CHECKS, "never", lambda P, dim: False)
+    report = census_check(4, ["never"], up_to_iso=True)
+    assert report.results[0].counterexamples == tuple(enumerate_posets(4, up_to_iso=True))
+
+
 def test_passing_labeled_census_expands_no_orbit(monkeypatch):
     # a passing class counts as n!/|Aut| labeled posets without listing them
     def fail(rows):
@@ -309,7 +359,9 @@ def test_census_check_edge_and_scale():
 
 def test_census_check_computes_each_dimension_once(monkeypatch):
     calls = counting(monkeypatch, "two_dimension", census.two_dimension)
-    for name, distinct, asked in (("monotony", 534, 2226), ("beat-continuity", 488, 1766)):
+    # the memo is keyed by row tuple, so these counts depend on which representative
+    # of each class the enumeration gives
+    for name, distinct, asked in (("monotony", 537, 2226), ("beat-continuity", 497, 1766)):
         for _ in range(2):  # nothing computed in the first run is kept for the second
             calls.clear()
             lines = []
@@ -318,8 +370,9 @@ def test_census_check_computes_each_dimension_once(monkeypatch):
             assert report.format_lines() == [f"CHECK {name} posets=318 counterexamples=0"]
             *levels, enum, check = lines
             assert [line.split()[:3] for line in levels] == [["STATS", "level", str(j)] for j in range(1, 7)]
-            # 583 canonical forms before the orbit pruning
-            assert enum.startswith("STATS enumerate classes=318 canonical_forms=424 seconds=")
+            # 583 canonical forms before the orbit pruning, 424 before the last level
+            # accepted its only-heaviest tops without one
+            assert enum.startswith("STATS enumerate classes=318 canonical_forms=198 seconds=")
             assert check.startswith(f"STATS check {name} classes=318 seconds=")
             assert check.endswith(f" dims_computed={distinct} dims_asked={asked}")
 
@@ -328,14 +381,14 @@ def test_census_check_shares_dimensions_across_checks(monkeypatch):
     # the second check asks for 2-dimensions the first one already computed
     calls = counting(monkeypatch, "two_dimension", census.two_dimension)
     orders = {
-        ("monotony", "beat-continuity"): [(534, 2226), (0, 1766)],
-        ("beat-continuity", "monotony"): [(488, 1766), (46, 2226)],
+        ("monotony", "beat-continuity"): [(537, 2226), (0, 1766)],
+        ("beat-continuity", "monotony"): [(497, 1766), (40, 2226)],
     }
     for names, counts in orders.items():
         calls.clear()
         lines = []
         report = census_check(6, names, up_to_iso=True, log=lines.append)
-        assert report.ok() and len(calls) == 534
+        assert report.ok() and len(calls) == 537
         assert [line.split()[-2:] for line in lines if line.startswith("STATS check")] == [
             [f"dims_computed={computed}", f"dims_asked={asked}"] for computed, asked in counts
         ]

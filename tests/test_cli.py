@@ -300,9 +300,12 @@ def test_census_stats_go_to_stderr(capsys):
         ["STATS", "level", "3", "classes=5"],
         ["STATS", "level", "4", "classes=16"],
     ]
-    assert levels[-1].split()[4:7] == ["heaviest_tops=21", "orbit_pruned=5", "canonical_forms=16"]
-    # 30 canonical forms before the orbit pruning
-    assert enum.startswith("STATS enumerate classes=16 canonical_forms=24 seconds=")
+    assert levels[-1].split()[4:8] == [
+        "heaviest_tops=21", "orbit_pruned=5", "canonical_forms=6", "unique_tops=10"
+    ]
+    # 30 canonical forms before the orbit pruning, 24 before the last level
+    # accepted its 10 only-heaviest tops without one
+    assert enum.startswith("STATS enumerate classes=16 canonical_forms=14 seconds=")
     assert monotony.startswith("STATS check monotony classes=16 seconds=")
     assert monotony.endswith(" dims_computed=23 dims_asked=80")
     # bounds asks only for the 16 classes, whose values monotony computed
