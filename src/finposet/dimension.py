@@ -43,7 +43,7 @@ from .errors import (
     TooLarge,
     TooWide,
 )
-from .homotopy import BeatPointWitness, CoreTrace, beat_points, core
+from .homotopy import BeatPointWitness, CoreTrace, beat_points, core, is_contractible
 
 # The width search keeps candidates as bitsets of 2^width bits (128 KiB
 # each at width 20; the kept cube tables, up to CUBE_BITS, and along a
@@ -118,15 +118,14 @@ def upper_bound(P: Poset, trace: CoreTrace | None = None) -> int:
     """|P|, improved to |P| - 1 when the space is contractible.
 
     A caller that already holds core(P) passes it as trace, so that P is
-    deflated only once.
+    deflated only once; without one, P is deflated with no trace recorded.
     """
     if len(P) == 0:
         raise EmptyPoset("the empty space has no embedding width bounds")
     if len(P) == 1:
         return 0
-    if trace is None:
-        trace = core(P)
-    return len(P) - 1 if trace.contractible else len(P)
+    contractible = is_contractible(P) if trace is None else trace.contractible
+    return len(P) - 1 if contractible else len(P)
 
 
 def canonical_embedding(P: Poset) -> CubeEmbedding:

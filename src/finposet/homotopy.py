@@ -11,13 +11,14 @@ extension, so a set's only candidate minimum is its lowest bit and its
 only candidate maximum its highest: each status test is a constant
 number of big-int operations on n-bit rows.  A removal re-tests only the
 comparable points whose status it can change (those without a witness
-on that side, and those it was the witness of).  Set-up is one
-``core._ranked`` call, two bit-matrix transposes by block swaps on
-dense rows.  On a shared 2-vCPU VM ``core(chain(800))`` takes about
-0.017 s (0.02 s when declared in a shuffled order), against 0.16-0.19 s
-when the set-up walked the 319,600 comparable pairs one by one (both
-timed back to back); rebuilding the poset after every removal
-took 107 s.
+on that side, and those it was the witness of), in one loop per kind.
+Set-up is one ``core._ranked`` call, two bit-matrix transposes by block
+swaps on dense rows; copies of one set-up deflate apart.  Removals are
+recorded only for a trace.  On a shared 2-vCPU VM ``core(chain(800))``
+takes about 0.010-0.017 s (0.019 s when declared in a shuffled order),
+against 0.16-0.19 s when the set-up walked the 319,600 comparable pairs
+one by one (both timed back to back); rebuilding the poset after every
+removal took 107 s.
 """
 
 from __future__ import annotations
@@ -86,36 +87,44 @@ class _Deflation:
         self.witnessed = ([0] * n, [0] * n)
         self.beaten = [0, 0]
         self.codes = 0
-        for r in range(n):
-            self._test(UP, r)
-            self._test(DOWN, r)
+        self._retest(UP, self.alive)
+        self._retest(DOWN, self.alive)
 
-    def _test(self, kind: int, r: int) -> None:
-        """Recompute the kind status of the alive point r."""
-        row = self.rows[kind]
-        strict = row[r] & self.alive
-        w = -1
-        if strict:
-            m = (strict & -strict).bit_length() - 1 if kind == UP else strict.bit_length() - 1
-            if strict & ~row[m] == 1 << m:
-                w = m
-        self._set(kind, r, w)
+    def copy(self) -> _Deflation:
+        """This state, sharing P and the rows, to deflate apart."""
+        d = object.__new__(type(self))
+        d.P, d.order, d.rank, d.rows = self.P, self.order, self.rank, self.rows
+        d.alive, d.codes, d.beaten = self.alive, self.codes, self.beaten[:]
+        d.witness = (self.witness[UP][:], self.witness[DOWN][:])
+        d.witnessed = (self.witnessed[UP][:], self.witnessed[DOWN][:])
+        return d
 
-    def _set(self, kind: int, r: int, w: int) -> None:
-        wit = self.witness[kind]
-        old = wit[r]
-        if w == old:
-            return
-        bit = 1 << r
-        of = self.witnessed[kind]
-        if old >= 0:
-            of[old] ^= bit
-        if w >= 0:
-            of[w] |= bit
-        wit[r] = w
-        if (old < 0) != (w < 0):
-            self.beaten[kind] ^= bit
-            self.codes ^= 1 << (2 * self.order[r] + kind)
+    def _retest(self, kind: int, targets: int) -> None:
+        """Recompute the kind status of the points in targets (none if removed)."""
+        row, wit, of, order = self.rows[kind], self.witness[kind], self.witnessed[kind], self.order
+        alive, beaten, codes, up = self.alive, self.beaten[kind], self.codes, kind == UP
+        while targets:
+            bit = targets & -targets
+            targets ^= bit
+            r = bit.bit_length() - 1
+            strict = row[r] & alive if alive & bit else 0
+            w = -1
+            if strict:
+                m = (strict & -strict).bit_length() - 1 if up else strict.bit_length() - 1
+                if strict & ~row[m] == 1 << m:
+                    w = m
+            old = wit[r]
+            if w == old:
+                continue
+            if old >= 0:
+                of[old] ^= bit
+            if w >= 0:
+                of[w] |= bit
+            wit[r] = w
+            if (old < 0) != (w < 0):
+                beaten ^= bit
+                codes ^= 1 << (2 * order[r] + kind)
+        self.beaten[kind], self.codes = beaten, codes
 
     def witnesses(self) -> list[BeatPointWitness]:
         """The current beat point witnesses, in element order, "up" before "down"."""
@@ -128,23 +137,30 @@ class _Deflation:
         w = self.witness[kind][self.rank[i]]
         return BeatPointWitness(names[i], _KIND_NAMES[kind], names[self.order[w]])
 
-    def remove(self, i: int) -> None:
-        """Remove P.elements[i] and re-test the points whose status it can change.
+    def deflate(self, rng: random.Random | None, removals: list[BeatPointWitness] | None = None) -> int:
+        """Remove beat points until none remain, appending their witnesses to
+        removals if given; return the alive mask over ranks.
 
-        Below the removed point only up statuses can change, above it only
-        down statuses.  A point keeps a witness other than the removed
-        point (the witness stays the extreme of a smaller set), so only
-        points with no witness on that side, or with the removed point as
-        witness, are tested again.
+        rng=None removes the first witness in element order, an rng a
+        uniform pick.  A removal can change only the up statuses below it
+        and the down statuses above it, and a point keeps a witness other
+        than the removed one, so only the removed point, the points with
+        no witness on that side and those it witnessed are re-tested.
         """
-        r = self.rank[i]
-        self.alive ^= 1 << r
-        self._set(UP, r, -1)
-        self._set(DOWN, r, -1)
-        for kind in (UP, DOWN):
-            other = self.rows[DOWN - kind][r]
-            for s in _bits((other & self.alive & ~self.beaten[kind]) | self.witnessed[kind][r]):
-                self._test(kind, s)
+        if not self.alive:
+            raise EmptyPoset("the empty space has no core")
+        rank, (above, below), beaten, witnessed = self.rank, self.rows, self.beaten, self.witnessed
+        while self.codes:
+            codes = self.codes
+            code = (codes & -codes).bit_length() - 1 if rng is None else rng.choice(list(_bits(codes)))
+            if removals is not None:
+                removals.append(self.witness_of(code))
+            r = rank[code >> 1]
+            bit = 1 << r
+            alive = self.alive = self.alive ^ bit
+            self._retest(UP, (below[r] & alive & ~beaten[UP]) | witnessed[UP][r] | bit)
+            self._retest(DOWN, (above[r] & alive & ~beaten[DOWN]) | witnessed[DOWN][r] | bit)
+        return self.alive
 
 
 def beat_points(P: Poset) -> list[BeatPointWitness]:
@@ -152,19 +168,11 @@ def beat_points(P: Poset) -> list[BeatPointWitness]:
     return _Deflation(P).witnesses()
 
 
-def _deflate(d: _Deflation, rng: random.Random | None) -> CoreTrace:
-    """Remove beat points from d until none remain, and record the removals."""
+def _trace(d: _Deflation, rng: random.Random | None) -> CoreTrace:
+    """Deflate d, recording the removals."""
     P = d.P
-    if len(P) == 0:
-        raise EmptyPoset("the empty space has no core")
-    removals = []
-    while d.codes:
-        if rng is None:
-            code = (d.codes & -d.codes).bit_length() - 1
-        else:
-            code = rng.choice(list(_bits(d.codes)))
-        removals.append(d.witness_of(code))
-        d.remove(code >> 1)
+    removals: list[BeatPointWitness] = []
+    d.deflate(rng, removals)
     if not removals:
         return CoreTrace(P, (), P)
     kept = [P.elements[i] for r, i in enumerate(d.order) if d.alive >> r & 1]
@@ -179,16 +187,16 @@ def core(P: Poset, rng: random.Random | None = None) -> CoreTrace:
     among the current witnesses instead.  Either way the final core is
     the same space up to isomorphism.
     """
-    return _deflate(_Deflation(P), rng)
+    return _trace(_Deflation(P), rng)
 
 
 def _beat_points_and_core(P: Poset) -> tuple[list[BeatPointWitness], CoreTrace]:
     """beat_points(P) and core(P) from one deflation: the beat points are
     read before the first removal."""
     d = _Deflation(P)
-    return d.witnesses(), _deflate(d, None)
+    return d.witnesses(), _trace(d, None)
 
 
 def is_contractible(P: Poset) -> bool:
-    """True iff the core of P is a single point."""
-    return core(P).contractible
+    """True iff the core of P is a single point (no trace is recorded)."""
+    return _Deflation(P).deflate(None).bit_count() == 1

@@ -247,6 +247,36 @@ def test_contractible_bound_deflates_each_class_once(monkeypatch):
     assert len(built) == len(classes) == 318
 
 
+def test_core_uniqueness_sets_up_each_class_once(monkeypatch):
+    # the unseeded and the three seeded removal orders deflate copies of one set-up
+    built = []
+    init = homotopy._Deflation.__init__
+
+    def counted(self, P):
+        built.append(P)
+        init(self, P)
+
+    monkeypatch.setattr(homotopy._Deflation, "__init__", counted)
+    classes = enumerate_posets(6, up_to_iso=True)
+    assert all(CHECKS["core-uniqueness"](P, exact_dim) for P in classes)
+    assert len(built) == len(classes) == 318
+
+
+def test_core_uniqueness_past_census_sizes():
+    # Stong's unique core on random posets of 14-40 points, where the removal orders part
+    other_rows = 0
+    for n in (14, 20, 30, 40):
+        for p in (0.2, 0.3):
+            for s in range(4):
+                P = random_poset(n, p, s)
+                assert CHECKS["core-uniqueness"](P, exact_dim)
+                setup = homotopy._Deflation(P)
+                rngs = (None, random.Random(0), random.Random(1), random.Random(2))
+                other_rows += len({census._core_rows(setup.copy(), rng) for rng in rngs}) > 1
+    # most of the 32 reach cores with other rows, so the check compares canonical forms
+    assert other_rows >= 16
+
+
 def test_random_poset():
     assert random_poset(5, 0.0, seed=1) == antichain(5)
     assert is_isomorphic(random_poset(5, 1.0, seed=1), chain(5))
@@ -418,8 +448,12 @@ def test_checks_fail_on_a_wrong_dimension_or_core(monkeypatch):
     assert not CHECKS["beat-continuity"](chain(3), lambda P: len(P) ** 2)
     assert CHECKS["beat-continuity"](chain(3), exact_dim)
     # seeded deflations that reach another 4-point core than the first one
-    circle, real = suspension(antichain(2)), homotopy.core
-    monkeypatch.setattr(census, "core", lambda P, rng=None: real(P if rng is None else circle))
+    circle, real = suspension(antichain(2)), census._core_rows
+
+    def seeded(d, rng):
+        return real(d if rng is None else homotopy._Deflation(circle), rng)
+
+    monkeypatch.setattr(census, "_core_rows", seeded)
     assert not CHECKS["core-uniqueness"](antichain(4), exact_dim)
     assert CHECKS["core-uniqueness"](circle, exact_dim)
 

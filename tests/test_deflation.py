@@ -23,6 +23,7 @@ from finposet import (
     random_poset,
     verify_embedding,
 )
+from finposet import census, homotopy
 from finposet.census import enumerate_posets
 from finposet.core import _bits, remove_element
 from finposet.dimension import extend_embedding_at_beat_point
@@ -117,3 +118,18 @@ def test_random_posets_match_oracle():
 def test_cone_and_chain_match_oracle():
     assert_matches_oracle(chain(40))
     assert_matches_oracle(cone(random_poset(30, 0.1, seed=5)))
+
+
+def test_copies_of_one_setup_reach_the_cores_of_core():
+    # census core-uniqueness deflates copies of one set-up; each must reach core(P, rng)'s rows
+    rnd = random.Random(3)
+    cases = [P for n in range(1, 8) for P in enumerate_posets(n, up_to_iso=True)]
+    for k, n in enumerate(rnd.sample(range(20, 201), 24)):
+        cases.append(random_poset(n, rnd.choice([1.5 / n, 0.1, 0.3, 0.5]), seed=k))
+    for P in cases:
+        setup = homotopy._Deflation(P)
+        state = repr([getattr(setup, name) for name in setup.__slots__])
+        for seed in SEEDS:
+            rows = census._core_rows(setup.copy(), rng_for(seed))
+            assert rows == core(P, rng_for(seed)).core.down_rows, (P, seed)
+        assert repr([getattr(setup, name) for name in setup.__slots__]) == state

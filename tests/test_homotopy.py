@@ -16,6 +16,7 @@ from finposet import (
     is_contractible,
     is_isomorphic,
     suspension,
+    upper_bound,
 )
 from finposet import homotopy
 from finposet.census import enumerate_posets, random_poset
@@ -175,3 +176,26 @@ def test_randomized_cores_isomorphic():
                 t = core(P, random.Random(seed))
                 assert is_isomorphic(base, t.core, guard=n)
                 assert len(t.core) == len(P) - len(t.removals)
+
+
+def test_trace_free_deflation_agrees_with_the_trace(monkeypatch):
+    # is_contractible and upper_bound without a trace build no witness, trace or core subposet
+    tower = random_poset(6, 0.3, seed=1)
+    while len(tower) < 80:
+        tower = cone(tower)
+    cases = [chain(60), chain(110), tower, hypercube(6), suspension(antichain(2), 29), suspension(antichain(2), 99)]
+    rnd = random.Random(4)
+    for k, p in enumerate((1.5 / 150, 0.03, 0.1, 0.3, 0.5)):
+        cases.append(random_poset(rnd.randint(100, 150), p, seed=k))
+    cases.append(cone(random_poset(99, 1.5 / 99, seed=5)))
+    traces = [core(P) for P in cases]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a deflation without a trace recorded one")
+
+    for name in ("BeatPointWitness", "CoreTrace", "induced_subposet"):
+        monkeypatch.setattr(homotopy, name, fail)
+    for P, trace in zip(cases, traces):
+        assert is_contractible(P) == trace.contractible
+        assert upper_bound(P) == upper_bound(P, trace)
+    assert {trace.contractible for trace in traces} == {True, False}
